@@ -4,8 +4,9 @@ Inscribed-ellipse solver against the closed form
 
 The semi-minor axis b of the largest inscribed ellipse r(t) = cos(t) a
 + b sin(t) y + (x - a) through x with conjugate direction y has a closed
-form on the standard triangle.  The bisection solver knows nothing about
-that formula, so agreement is a real check.
+form on the standard triangle.  The solver knows nothing about that
+formula: it solves a linear program in (a, b^2) built from the polygon's
+edges alone, so agreement to rounding is a real check.
 """
 
 import math

@@ -1,15 +1,17 @@
 """Numeric maximal inscribed ellipses of the family r(t) = cos t * a + b sin t * y.
 
 The ellipse passes through x at t = 0 (center x - a), has conjugate half-axes
-a and b*y, and must stay inside a convex polygon.  For a fixed half-axis b the
-per-edge containment certificate
+a and b*y, and must stay inside a convex polygon.  Per edge, the containment
+certificate <n_e, x - a> + sqrt(<n_e, a>^2 + b^2 <n_e, y>^2) <= c_e is, after
+isolating the square root and squaring, the condition
 
-    <n_e, x - a> + sqrt(<n_e, a>^2 + b^2 <n_e, y>^2) <= c_e
+    -2 s_e <n_e, a> + <n_e, y>^2 t <= s_e^2,    t = b^2,
 
-is, after isolating the square root and squaring, equivalent to the affine
-condition <n_e, a> >= (b^2 <n_e, y>^2 - s_e^2) / (2 s_e) with s_e the slack of
-x against edge e.  Feasibility in a is therefore a half-plane intersection
-test, and the outer problem is a clean bisection on b.
+linear in (a, t), with s_e the slack of x against edge e.  So the best b is
+sqrt(t*) for the exact LP "maximize t", solved by vertex enumeration over a
+working set of edges: the edge the current optimum violates most joins the
+set, and the new optimum is the best vertex on its plane.  A box keeps each
+relaxation bounded: x - 2a lies in K, so |a| <= diam(K), and t <= diam(K)^2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexPolygon, clip_halfplane, require_interior
+# clip_halfplane is unused here; perfbench/tracing.py rebinds ellipse.clip_halfplane
+from .geometry import ConvexPolygon, _golden_min, clip_halfplane, require_interior  # noqa: F401
+
+# box rows over (a1, a2, t) and their bounds, a in units of diam(K), t of diam(K)^2
+_BOX_G = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+_BOX_H = np.array([1.0, 1, 1, 1, 1, 0])
+_ROW_TOL = 1e-12  # rounding allowed on a row in those units
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,9 @@ class InscribedEllipse:
 class EllipseSolveReport:
     best_b: float
     witness: InscribedEllipse
-    iterations: int
+    iterations: int  # working-set rounds; each adds one edge
     feasibility_residual: float
+    active_edges: tuple[int, ...]  # edges the witness touches, as K.edge_normals() rows
 
 
 def containment_violation(e: InscribedEllipse, K: ConvexPolygon) -> float:
@@ -77,53 +87,46 @@ def ellipse_in_polygon(e: InscribedEllipse, K: ConvexPolygon, tol: float = 1e-9)
     return containment_violation(e, K) <= tol
 
 
-def _feasible_a(K: ConvexPolygon, x, y, b: float):
-    """Vertices of {a : all affine edge conditions hold}, or None when empty.
+def _cross(u, v):
+    return u.take(_NEXT, -1) * v.take(_PREV, -1) - u.take(_PREV, -1) * v.take(_NEXT, -1)
 
-    The feasible set is contained in (x - K)/2, so a box of half-width
-    diam(K) around the origin always covers it.
-    """
-    n, c = K.edge_normals()
-    s = c - n @ x
-    h = (b * b * (n @ y) ** 2 - s * s) / (2.0 * s)
-    R = K.diameter + 1.0
-    region = np.array([[-R, -R], [R, -R], [R, R], [-R, R]])
-    for ni, hi in zip(n, h):
-        region = clip_halfplane(region, -ni, -hi)
-        if len(region) == 0:
-            return None
-    return region
 
-def best_ellipse(K: ConvexPolygon, x, y, rel_tol: float = 1e-8) -> EllipseSolveReport:
+def best_ellipse(K: ConvexPolygon, x, y) -> EllipseSolveReport:
     """Largest b for which some inscribed ellipse through x with axis y fits in K.
 
-    Bisection on b; b = 0 is always feasible (a degenerate segment) and
-    b = diam(K) never is, since 2b cannot exceed the maximal chord.
+    Exact LP of the module docstring in units of diam(K), started from the
+    box's optimum a = 0, t = 1 and stopped when no edge is violated.
     """
     x = require_interior(K, x)
     y = np.asarray(y, dtype=float)
     ny = np.linalg.norm(y)
-    if ny == 0.0:
-        raise ValueError("direction must be nonzero")
+    if ny == 0.0 or not math.isfinite(ny):
+        raise ValueError("direction must be finite and nonzero")
     y = y / ny
+    n, c = K.edge_normals()
     diam = K.diameter
-    lo, hi = 0.0, diam
-    region_lo = _feasible_a(K, x, y, 0.0)
-    iterations = 0
-    while hi - lo > rel_tol * diam:
-        mid = 0.5 * (lo + hi)
-        region = _feasible_a(K, x, y, mid)
-        if region is None:
-            hi = mid
-        else:
-            lo, region_lo = mid, region
-        iterations += 1
-    a = region_lo.mean(axis=0)
-    witness = InscribedEllipse(x=x, y=y, a=a, b=lo)
-    residual = max(containment_violation(witness, K), 0.0)
-    return EllipseSolveReport(
-        best_b=lo, witness=witness, iterations=iterations, feasibility_residual=residual
-    )
+    s = (c - n @ x) / diam
+    G_edges = np.column_stack([-2.0 * s[:, None] * n, (n @ y) ** 2])
+    G, h, z = _BOX_G, _BOX_H, np.array([0.0, 0.0, 1.0])
+    while True:
+        violation = G_edges @ z - s * s
+        e = int(np.argmax(violation))
+        if violation[e] <= _ROW_TOL:
+            break
+        # the new optimum lies on edge e's plane: Cramer's rule with each pair of
+        # working rows; a singular triple gives inf or nan and fails feasibility
+        g, he = G_edges[e], s[e] * s[e]
+        i, j = np.nonzero(np.arange(len(h))[:, None] < np.arange(len(h)))
+        C, cij = _cross(G, g), _cross(G[i], G[j])
+        G, h = np.vstack([G, g]), np.append(h, he)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Z = (he * cij + h[i, None] * C[j] - h[j, None] * C[i]) / (cij @ g)[:, None]
+            Z = Z[np.all(Z @ G.T - h <= _ROW_TOL, axis=1)]
+        z = Z[np.argmax(Z[:, 2])]
+    w = InscribedEllipse(x=x, y=y, a=diam * z[:2], b=diam * math.sqrt(z[2]))
+    active = tuple(int(i) for i in np.flatnonzero(violation >= -_ROW_TOL))
+    residual = max(containment_violation(w, K), 0.0)
+    return EllipseSolveReport(w.b, w, len(h) - len(_BOX_H), residual, active)
 
 
 def best_ellipse_all_dirs(K: ConvexPolygon, x, n_dirs: int = 256) -> float:
@@ -132,14 +135,11 @@ def best_ellipse_all_dirs(K: ConvexPolygon, x, n_dirs: int = 256) -> float:
     Uniform angular sweep plus golden-section refinement around the best cell;
     ties go to the smaller angle.
     """
-    from .geometry import _golden_min
-
     x = require_interior(K, x)
     thetas = np.arange(n_dirs) * (math.pi / n_dirs)
     f = lambda t: best_ellipse(K, x, (math.cos(t), math.sin(t))).best_b
     vals = np.array([f(t) for t in thetas])
     k = int(np.argmin(vals))
-    best = float(vals[k])
     h = math.pi / n_dirs
     refined, _ = _golden_min(f, thetas[k] - h, thetas[k] + h, tol=1e-10)
-    return min(best, refined)
+    return min(float(vals[k]), refined)

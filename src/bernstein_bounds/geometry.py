@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +47,15 @@ class ConvexPolygon:
     """Convex polygon given by CCW vertices (m, 2), m >= 3.
 
     Consecutive duplicate vertices are rejected; collinear triples are allowed
-    (cross products of consecutive edges must be >= 0 up to rounding).
+    (cross products of consecutive edges must be >= 0 up to rounding).  The
+    vertices are a read-only copy, so the cached edge lines and diameter
+    cannot go stale.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        v = np.array(self.vertices, dtype=float, ndmin=2)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (m, 2) array")
         if v.shape[0] < 3:
@@ -66,6 +69,7 @@ class ConvexPolygon:
             raise ValueError("vertices are not in convex CCW order")
         if _shoelace(v) <= 0.0:
             raise ValueError("polygon has nonpositive area; is it CW?")
+        v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -79,19 +83,25 @@ class ConvexPolygon:
         cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
         return (v + w).T @ cr / (6.0 * self.area)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         v = self.vertices
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         return math.sqrt(float(np.max(d2)))
 
     def edge_normals(self):
-        """Outward unit normals and offsets: K = {p : n_i . p <= c_i}."""
+        """Outward unit normals and offsets: K = {p : n_i . p <= c_i} (read-only)."""
+        return self._edge_lines
+
+    @cached_property
+    def _edge_lines(self):
         v = self.vertices
         e = np.roll(v, -1, axis=0) - v
         n = np.stack([e[:, 1], -e[:, 0]], axis=1)
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         c = np.sum(n * v, axis=1)
+        n.setflags(write=False)
+        c.setflags(write=False)
         return n, c
 
 
@@ -109,6 +119,8 @@ def interior_slack(K: ConvexPolygon, x) -> float:
 
 def require_interior(K: ConvexPolygon, x, tol: float = _BOUNDARY_TOL) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point must be finite")
     if interior_slack(K, x) <= tol:
         raise ValueError("point is not strictly interior to the polygon")
     return x

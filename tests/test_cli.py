@@ -148,6 +148,21 @@ def test_ellipse_subcommand(tri_file, capsys):
     assert val == pytest.approx(0.2828427, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ellipse", "nan", "0.25", "0"],
+        ["ellipse", "0.3", "0.25", "nan"],
+        ["alpha", "nan", "0.2"],
+    ],
+)
+def test_non_finite_input_is_exit_3(tri_file, capsys, argv):
+    assert cli.main([argv[0], tri_file, *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ")
+
+
 def test_ellipse_centroid_axis_value(tri_file, capsys):
     rc = cli.main(["ellipse", tri_file, "0.333333333333", "0.333333333333", "0"])
     assert rc == 0

@@ -134,6 +134,8 @@ def test_require_interior_rejects_boundary_and_outside():
         geo.require_interior(TRI, np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         geo.require_interior(TRI, np.array([0.7, 0.7]))
+    with pytest.raises(ValueError):
+        geo.require_interior(TRI, np.array([math.nan, 0.2]))
 
 
 def test_clip_halfplane_square():
