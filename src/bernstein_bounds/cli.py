@@ -250,6 +250,13 @@ def cmd_ellipse(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bernstein-bounds",
@@ -266,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="sweep the three directional bounds")
     p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--dirs", type=int, default=36)
+    p.add_argument("--dirs", type=_positive_int, default=36)
     p.add_argument("--margin", type=float, default=1e-3)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -281,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x1", type=float)
     p.add_argument("x2", type=float)
     p.add_argument("--source", choices=["kr", "baran"], default="kr")
-    p.add_argument("--dirs", type=int, default=2048)
+    p.add_argument("--dirs", type=_positive_int, default=2048)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.set_defaults(func=cmd_kernel)

@@ -60,6 +60,8 @@ class ConvexPolygon:
             raise ValueError("vertices must be an (m, 2) array")
         if v.shape[0] < 3:
             raise ValueError("a polygon needs at least 3 vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertices must be finite")
         scale = float(np.max(np.abs(v))) + 1.0
         e = np.roll(v, -1, axis=0) - v
         if np.any(np.hypot(e[:, 0], e[:, 1]) <= 1e-14 * scale):
@@ -318,6 +320,8 @@ def parse_polygon_text(text: str) -> ConvexPolygon:
             raise PolygonFormatError(f"line {lineno}: could not parse {line!r}") from None
     if len(rows) < 3:
         raise PolygonFormatError(f"only {len(rows)} vertices; need at least 3")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("polygon vertices must be finite")  # a domain error, not a parse error
     try:
         return ConvexPolygon(np.array(rows))
     except ValueError as exc:

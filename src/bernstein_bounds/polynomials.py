@@ -3,12 +3,15 @@
 Random bivariate polynomials and transplanted Chebyshev families are pushed
 through the Bernstein ratio |<grad p, y>| / (n sqrt(||p||^2 - p^2)) and
 compared against the pluripotential bound; the sup-norm on the simplex is
-certified as a refined grid lower bound (exact on edges via univariate root
-finding, Newton-polished in the interior).
+certified as a refined grid lower bound: a tensor-product grid A @ c @ A.T
+whose power matrix and simplex indices are cached per (degree, resolution),
+exact edge maxima from the roots of the edge derivatives, and Newton polish
+in the interior, with p itself evaluated at every refined point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -67,19 +70,28 @@ class TotalDegreePolynomial:
 
     @cached_property
     def _dx(self):
-        return npp.polyder(self.square, axis=0)
+        return _derivative(self.square, 0)
 
     @cached_property
     def _dy(self):
-        return npp.polyder(self.square, axis=1)
+        return _derivative(self.square, 1)
 
     @cached_property
-    def _hess(self):
-        return (
-            npp.polyder(self._dx, axis=0),
-            npp.polyder(self._dx, axis=1),
-            npp.polyder(self._dy, axis=1),
-        )
+    def _newton_block(self):
+        """g1, g2, h11, h12, h22 side by side, each padded to (n+1) x (n+1)."""
+        n1 = self.degree + 1
+        parts = (self._dx, self._dy, _derivative(self._dx, 0), _derivative(self._dx, 1),
+                 _derivative(self._dy, 1))
+        block = np.zeros((n1, 5, n1))
+        for s, c in enumerate(parts):
+            block[: c.shape[0], s, : c.shape[1]] = c
+        return block.reshape(n1, 5 * n1)
+
+
+def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
+    """Coefficients of d/dx1 (axis 0) or d/dx2 (axis 1), by index scaling."""
+    k = np.arange(1, c.shape[axis], dtype=float)
+    return c[1:] * k[:, None] if axis == 0 else c[:, 1:] * k
 
 
 def evaluate(p: TotalDegreePolynomial, point):
@@ -117,104 +129,107 @@ class SupNormCertificate:
 
 
 @lru_cache(maxsize=32)
-def _bary_grid(m: int):
-    i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-    keep = i + j <= m
-    x1 = i[keep] / m
-    x2 = j[keep] / m
-    interior = (i[keep] > 0) & (j[keep] > 0) & (i[keep] + j[keep] < m)
-    return x1, x2, interior
+def _grid(n: int, m: int):
+    """A[k, i] = (k/m)^i, and the simplex nodes' flat indices, interior first."""
+    A = np.vander(np.arange(m + 1) / m, n + 1, increasing=True)
+    k, l = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    interior = (k > 0) & (l > 0) & (k + l < m)
+    boundary = np.flatnonzero((k + l <= m) & ~interior)
+    return A, np.concatenate([np.flatnonzero(interior), boundary]), int(interior.sum())
 
 
-def _univariate_abs_max(q) -> float:
-    """Exact max of |q| on [0, 1] via roots of the derivative."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    cand = [0.0, 1.0]
-    dq = np.trim_zeros(npp.polyder(q), "b")
-    if len(dq) > 1:
-        roots = npp.polyroots(dq)
-        for r in roots:
-            if abs(r.imag) < 1e-8 and 0.0 < r.real < 1.0:
-                cand.append(float(r.real))
-    elif len(dq) == 1 and dq[0] != 0.0:
-        pass  # linear, endpoints suffice
-    return float(np.max(np.abs(npp.polyval(np.array(cand), q))))
+# edge e of the simplex is {origin[e] + t dir[e] : 0 <= t <= 1}: x2 = 0, x1 = 0, x2 = 1 - x1
+_EDGE_ORIGIN = np.array([[[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
+_EDGE_DIR = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]])
 
 
-def _edge_maxima(p: TotalDegreePolynomial) -> float:
-    sq = p.square
-    m1 = _univariate_abs_max(sq[:, 0])  # edge x2 = 0
-    m2 = _univariate_abs_max(sq[0, :])  # edge x1 = 0
-    # hypotenuse x1 = t, x2 = 1 - t: Horner over powers of (1 - t)
-    h = np.zeros(1)
-    for j in range(p.degree, -1, -1):
-        h = npp.polyadd(npp.polymul(h, [1.0, -1.0]), sq[:, j])
-    m3 = _univariate_abs_max(h)
-    return max(m1, m2, m3)
+@lru_cache(maxsize=32)
+def _edge_derivative_map(n: int) -> np.ndarray:
+    """M with (square.ravel() @ M).reshape(3, n)[e] the power coefficients
+    of d/dt p(origin[e] + t dir[e]); the hypotenuse expands (1 - t)^j."""
+    q = np.zeros((n + 1, n + 1, 3, n + 1))
+    for i in range(n + 1):
+        q[i, 0, 0, i] = q[0, i, 1, i] = 1.0
+        for j in range(n + 1 - i):
+            for k in range(j + 1):
+                q[i, j, 2, i + k] += math.comb(j, k) * (-1.0) ** k
+    return (q[..., 1:] * np.arange(1, n + 1)).reshape((n + 1) ** 2, 3 * n)
 
 
-def _interior_polish(p: TotalDegreePolynomial, starts: np.ndarray) -> float:
-    """Newton iteration toward critical points of p from the given starts."""
-    if p.degree < 2 or len(starts) == 0:
-        return 0.0
-    hxx, hxy, hyy = p._hess
+def _edge_candidates(p: TotalDegreePolynomial) -> np.ndarray:
+    """Critical points (k, 2) of p restricted to each edge, inside the edge.
+
+    With the vertices (grid nodes) they hold the maximum of |p| on the
+    boundary.  They are the real roots in (0, 1) of the three edge
+    derivatives, found together as eigenvalues of their companion matrices.
+    """
+    n = p.degree
+    if n < 2:
+        return np.empty((0, 2))
+    dq = (p.square.ravel() @ _edge_derivative_map(n)).reshape(3, n)
+    for e in np.flatnonzero(dq[:, -1] == 0.0):
+        # t^k q'(t) has the same roots in (0, 1): move the top nonzero
+        # coefficient to the lead; a constant edge becomes t^(n-1)
+        nz = np.flatnonzero(dq[e])
+        dq[e] = np.roll(dq[e], n - 1 - nz[-1]) if len(nz) else np.eye(n)[-1]
+    comp = np.tile(np.eye(n - 1, k=1), (3, 1, 1))  # rotated companion matrices
+    comp[:, :, 0] = -dq[:, -2::-1] / dq[:, -1:]
+    r = np.linalg.eigvals(comp)
+    keep = (np.abs(r.imag) < 1e-8) & (r.real > 0.0) & (r.real < 1.0)
+    return (_EDGE_ORIGIN + r.real[:, :, None] * _EDGE_DIR)[keep]
+
+
+def _inside(pts: np.ndarray) -> np.ndarray:
+    return (pts[:, 0] > 1e-12) & (pts[:, 1] > 1e-12) & (pts[:, 0] + pts[:, 1] < 1.0 - 1e-12)
+
+
+def _interior_polish(p: TotalDegreePolynomial, starts: np.ndarray) -> np.ndarray:
+    """Newton iteration toward critical points of p; the interior end points."""
+    if p.degree < 2:
+        return np.empty((0, 2))
+    n1 = p.degree + 1
+    block = p._newton_block
     pts = starts.copy()
     alive = np.ones(len(pts), dtype=bool)
     for _ in range(40):
-        x1, x2 = pts[alive, 0], pts[alive, 1]
-        g1 = npp.polyval2d(x1, x2, p._dx)
-        g2 = npp.polyval2d(x1, x2, p._dy)
-        a = npp.polyval2d(x1, x2, hxx)
-        b = npp.polyval2d(x1, x2, hxy)
-        c = npp.polyval2d(x1, x2, hyy)
+        x = pts[alive]
+        powers = x[:, :, None] ** np.arange(n1)
+        g1, g2, a, b, c = ((powers[:, 0] @ block).reshape(len(x), 5, n1)
+                           * powers[:, 1, None, :]).sum(axis=2).T
         det = a * c - b * b
         ok = np.abs(det) > 1e-300
-        step1 = np.where(ok, -(c * g1 - b * g2) / np.where(ok, det, 1.0), 0.0)
-        step2 = np.where(ok, -(-b * g1 + a * g2) / np.where(ok, det, 1.0), 0.0)
-        pts[alive, 0] += step1
-        pts[alive, 1] += step2
-        sub = alive[alive].copy()
-        moved = np.hypot(step1, step2)
-        inside = (
-            (pts[alive, 0] > 1e-12)
-            & (pts[alive, 1] > 1e-12)
-            & (pts[alive, 0] + pts[alive, 1] < 1.0 - 1e-12)
-        )
-        sub &= ok & inside & np.isfinite(moved)
-        done = moved < 1e-14
-        alive[alive] = sub & ~done
+        det = np.where(ok, det, 1.0)
+        step = np.where(ok, np.stack([-(c * g1 - b * g2), -(-b * g1 + a * g2)]) / det, 0.0).T
+        pts[alive] = x = x + step
+        moved = np.hypot(step[:, 0], step[:, 1])
+        alive[alive] = ok & _inside(x) & np.isfinite(moved) & ~(moved < 1e-14)
         if not alive.any():
             break
-    good = (
-        (pts[:, 0] > 1e-12)
-        & (pts[:, 1] > 1e-12)
-        & (pts[:, 0] + pts[:, 1] < 1.0 - 1e-12)
-        & np.isfinite(pts).all(axis=1)
-    )
-    if not good.any():
-        return 0.0
-    return float(np.max(np.abs(npp.polyval2d(pts[good, 0], pts[good, 1], p.square))))
+    return pts[_inside(pts) & np.isfinite(pts).all(axis=1)]
 
 
 def sup_norm_simplex(p: TotalDegreePolynomial, grid_resolution=None) -> SupNormCertificate:
     """Grid maximum of |p| on the simplex, refined on faces and in the interior.
 
-    Resolution defaults to max(64, 8 n^2) per side.  Edge maxima are exact
-    (univariate derivative roots); interior maxima are polished by Newton from
-    the ten best strictly interior grid nodes.  The value is a lower bound on
-    the true sup-norm and refinement never decreases it.
+    Resolution m defaults to max(64, 8 n^2) per side.  The grid values are one
+    tensor product A @ c @ A.T over the (m+1)^2 nodes (k/m, l/m), restricted to
+    the simplex by indices cached per (degree, m).  Edge maxima are exact: the
+    vertices are grid nodes and the other candidates are the real derivative
+    roots of p on each edge.  Newton polishes the ten best strictly interior
+    nodes toward critical points.  p itself (polyval2d) is evaluated at the
+    edge roots and polished points, so no expanded edge polynomial rounds the
+    value.  It is a lower bound on the true sup-norm and refinement never
+    decreases it.
     """
     m = grid_resolution or max(64, 8 * p.degree * p.degree)
-    x1, x2, interior = _bary_grid(m)
-    vals = np.abs(npp.polyval2d(x1, x2, p.square))
-    best = float(np.max(vals))
-    best = max(best, _edge_maxima(p))
-    idx = np.nonzero(interior)[0]
-    if len(idx) > 0:
-        top = idx[np.argsort(vals[idx])[-10:]]
-        starts = np.stack([x1[top], x2[top]], axis=1)
-        best = max(best, _interior_polish(p, starts))
-    return SupNormCertificate(value=best, grid_resolution=m, refined=True)
+    A, nodes, n_int = _grid(p.degree, m)
+    vals = np.abs((A @ p.square @ A.T).ravel()[nodes])
+    top = nodes[np.argpartition(vals[:n_int], -10)[-10:]] if n_int > 10 else nodes[:n_int]
+    starts = np.stack(np.divmod(top, m + 1), axis=1) / m
+    cand = np.concatenate([_edge_candidates(p), _interior_polish(p, starts)])
+    refined = np.abs(npp.polyval2d(cand[:, 0], cand[:, 1], p.square))
+    return SupNormCertificate(value=float(max(vals.max(), refined.max(initial=0.0))),
+                              grid_resolution=m, refined=True)
 
 
 def bernstein_ratio(p: TotalDegreePolynomial, x, y, certificate=None) -> float:
@@ -244,28 +259,21 @@ def chebyshev_transplant(n: int, c0: float, c) -> TotalDegreePolynomial:
     verts = np.array([c0, c0 + c[0], c0 + c[1]])
     if np.any(np.abs(verts) > 1.0 + 1e-12):
         raise ValueError("affine functional exceeds 1 in modulus at a vertex")
-    size = n + 1
-    prev = np.zeros((size, size))
-    prev[0, 0] = 1.0
-    cur = np.zeros((size, size))
-    cur[0, 0] = c0
-    cur[1, 0] = c[0]
-    cur[0, 1] = c[1]
+    prev = np.zeros((n + 1, n + 1))
+    cur = np.zeros((n + 1, n + 1))
+    prev[0, 0], cur[0, 0], cur[1, 0], cur[0, 1] = 1.0, c0, c[0], c[1]
     for _ in range(n - 1):
-        nxt = 2.0 * _affine_multiply(cur, c0, c) - prev
-        prev, cur = cur, nxt
+        nxt = c0 * cur  # T_{k+1} = 2 l T_k - T_{k-1}
+        nxt[1:, :] += c[0] * cur[:-1, :]
+        nxt[:, 1:] += c[1] * cur[:, :-1]
+        prev, cur = cur, 2.0 * nxt - prev
     return TotalDegreePolynomial.from_square(n, cur)
-
-
-def _affine_multiply(sq: np.ndarray, c0: float, c):
-    out = c0 * sq
-    out[1:, :] += c[0] * sq[:-1, :]
-    out[:, 1:] += c[1] * sq[:, :-1]
-    return out
 
 
 def sample_interior(rng, margin: float = _MARGIN) -> np.ndarray:
     """Uniform point of the simplex with all barycentric coordinates > margin."""
+    if not margin < 1.0 / 3.0:
+        raise ValueError("margin must be below 1/3, the centroid's")
     while True:
         u, v = rng.uniform(0.0, 1.0, size=2)
         if u + v > 1.0:
@@ -308,15 +316,9 @@ def verify_upper_bound(degree: int, trials: int, seed: int) -> dict:
                 {"trial": i, "x": x.tolist(), "phi": phi, "quotient": quotients[i]}
             )
     return {
-        "degree": degree,
-        "trials": trials,
-        "seed": seed,
-        "slack": _SLACK,
-        "margin": _MARGIN,
-        "max_quotient": float(np.max(quotients)),
-        "argmax_trial": int(np.argmax(quotients)),
-        "violations": violations,
-        "quotients": quotients.tolist(),
+        "degree": degree, "trials": trials, "seed": seed, "slack": _SLACK, "margin": _MARGIN,
+        "max_quotient": float(np.max(quotients)), "argmax_trial": int(np.argmax(quotients)),
+        "violations": violations, "quotients": quotients.tolist(),
     }
 
 
@@ -335,22 +337,22 @@ class GradientSample:
         object.__setattr__(self, "vector", v)
 
 
-def _affine_catalog():
-    """All 64 affine functionals with vertex values in {-1, -1/3, 1/3, 1}."""
-    levels = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
+@lru_cache(maxsize=8)
+def _transplant_catalog(n: int):
+    """(T_n of l, its certified norm) for the 63 nonconstant affine functionals l
+    with vertex values in {-1, -1/3, 1/3, 1}; they depend on n alone."""
     out = []
-    for v0 in levels:
-        for va in levels:
-            for vb in levels:
-                out.append((v0, np.array([va - v0, vb - v0])))
-    return out
+    for v0, va, vb in itertools.product((-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0), repeat=3):
+        if not va == v0 == vb:
+            p = chebyshev_transplant(n, v0, np.array([va - v0, vb - v0]))
+            out.append((p, sup_norm_simplex(p).value))
+    return tuple(out)
 
 
-def _cloud_sample(p, x, n):
-    cert = sup_norm_simplex(p)
+def _cloud_sample(p, x, n, norm):
     px = evaluate(p, x)
-    den2 = cert.value * cert.value - px * px
-    if den2 <= 1e-15 * cert.value * cert.value:
+    den2 = norm * norm - px * px
+    if den2 <= 1e-15 * norm * norm:
         return None
     return GradientSample(x=x, vector=gradient(p, x) / (n * math.sqrt(den2)))
 
@@ -365,26 +367,24 @@ def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):
     for child in children:
         rng = np.random.default_rng(child)
         n = int(rng.integers(1, degree + 1))
-        s = _cloud_sample(random_polynomial(n, rng), x, n)
-        if s is not None:
-            samples.append(s)
-    for c0, c in _affine_catalog():
-        if np.allclose(c, 0.0):
-            continue
-        for n in range(1, degree + 1):
-            s = _cloud_sample(chebyshev_transplant(n, c0, c), x, n)
-            if s is not None:
-                samples.append(s)
-    return samples
+        p = random_polynomial(n, rng)
+        samples.append(_cloud_sample(p, x, n, sup_norm_simplex(p).value))
+    catalogs = [_transplant_catalog(n) for n in range(1, degree + 1)]
+    for entries in zip(*catalogs):
+        for n, (p, norm) in enumerate(entries, start=1):
+            samples.append(_cloud_sample(p, x, n, norm))
+    return [s for s in samples if s is not None]
 
 
 def bernstein_szego_1d(n: int, x: float, a: float, b: float):
     """(ratio, bound) for the interval inequality |p'| <= n sqrt(||p||^2-p^2) / sqrt((b-x)(x-a)).
 
     The ratio is that of the Chebyshev transplant on [a, b] when x is not an
-    extreme point of it; at extreme points (where that ratio degenerates to
-    0/0) an LP search over unit-norm polynomials takes over and approaches
-    the bound from below.
+    extreme point of it; near a or b, where 1 - T_n^2 also falls below 1e-9,
+    it is taken in trigonometric form, free of that cancellation.  At the
+    interior extreme points cos(k pi / n), 0 < k < n (where the ratio
+    degenerates to 0/0) an LP search over unit-norm polynomials takes over
+    and approaches the bound from below.
     """
     if not a < x < b:
         raise ValueError("need a < x < b")
@@ -399,8 +399,14 @@ def bernstein_szego_1d(n: int, x: float, a: float, b: float):
     if one_minus > 1e-9:
         dtn = cheb.chebval(u, cheb.chebder(en))
         ratio = abs(dtn) * (2.0 / (b - a)) / math.sqrt(one_minus)
-    else:
+    elif 0 < round(n * math.acos(min(1.0, max(-1.0, u))) / math.pi) < n:
         ratio = _degenerate_sharpness(n, x, a, b)
+    else:
+        # near a or b, u = +-cos(phi) with phi small: 1 - T_n^2 = sin^2(n phi)
+        # and |T_n'| = n |sin(n phi)| / sin(phi), free of cancellation
+        phi = 2.0 * math.asin(math.sqrt(min(b - x, x - a) / (b - a)))
+        s = math.sin(n * phi)
+        ratio = abs(n * s / math.sin(phi)) * (2.0 / (b - a)) / abs(s)
     return ratio, bound
 
 
@@ -426,9 +432,9 @@ def _lp_ratio(n, x, a, b, eta, sign):
     """
     ux = (2.0 * x - a - b) / (b - a)
     deriv_row = np.array(
-        [cheb.chebval(ux, cheb.chebder(_unit_cheb(k))) for k in range(n + 1)]
+        [cheb.chebval(ux, cheb.chebder(np.eye(k + 1)[k])) for k in range(n + 1)]
     ) * (2.0 / (b - a))
-    value_row = np.array([cheb.chebval(ux, _unit_cheb(k)) for k in range(n + 1)])
+    value_row = np.array([cheb.chebval(ux, np.eye(k + 1)[k]) for k in range(n + 1)])
     grid = np.cos(np.linspace(0.0, math.pi, 2001))
     best = None
     norm_prev = 1.0
@@ -462,12 +468,6 @@ def _lp_ratio(n, x, a, b, eta, sign):
         grid = np.unique(np.concatenate([grid, ext]))
         norm_prev = norm
     return best
-
-
-def _unit_cheb(k):
-    e = np.zeros(k + 1)
-    e[k] = 1.0
-    return e
 
 
 def _cheb_extrema(coeffs) -> np.ndarray:

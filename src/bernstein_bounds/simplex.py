@@ -28,6 +28,8 @@ def _as_points(x):
 def check_interior(x, margin: float = _MARGIN):
     """Validate that each point is strictly inside the open simplex."""
     x = _as_points(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point must be finite")
     s = np.sum(x, axis=-1)
     if np.any(np.min(x, axis=-1) <= margin) or np.any(1.0 - s <= margin):
         raise ValueError("point is not strictly interior to the simplex")
@@ -120,6 +122,8 @@ def siciak_extremal(z):
     z = np.asarray(z)
     if z.ndim == 0 or z.shape[-1] < 2:
         raise ValueError("points must have shape (..., d) with d >= 2")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("point must be finite")
     w = np.sum(np.abs(z), axis=-1) + np.abs(1.0 - np.sum(z, axis=-1))
     out = np.log(w + np.sqrt(np.clip(w * w - 1.0, 0.0, None)))
     return out if out.ndim else float(out)

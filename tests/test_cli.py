@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,46 @@ def test_non_finite_input_is_exit_3(tri_file, capsys, argv):
     assert captured.err.startswith("domain error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "nan", "0", "0", "0"],
+        ["extremal", "0.2", "0", "inf", "0"],
+        ["kernel", "nan", "0.25", "--dirs", "8"],
+    ],
+)
+def test_non_finite_point_is_exit_3(capsys, argv):
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ")
+
+
+@pytest.mark.parametrize("vertex", ["nan 0", "0 inf"])
+def test_non_finite_vertex_is_exit_3(tmp_path, capsys, vertex):
+    body = tmp_path / "bad.txt"
+    body.write_text(f"{vertex}\n1 0\n0 1\n")
+    assert cli.main(["alpha", str(body), "0.2", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "0.3", "0.25", "--dirs", "0"],
+        ["compare", "--grid", "4", "--dirs", "0"],
+        ["compare", "--grid", "4", "--dirs", "-3"],
+    ],
+)
+def test_non_positive_dirs_is_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--dirs: must be a positive integer" in capsys.readouterr().err
+
+
 def test_ellipse_centroid_axis_value(tri_file, capsys):
     rc = cli.main(["ellipse", tri_file, "0.333333333333", "0.333333333333", "0"])
     assert rc == 0
@@ -192,10 +234,14 @@ def test_compare_quotients_at_centroid():
 
 
 def test_console_entry_point_runs():
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bernstein_bounds.cli", "constants", "--grid", "55"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "2.2882456" in proc.stdout

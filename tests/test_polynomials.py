@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -88,6 +89,107 @@ def test_sup_norm_is_a_lower_bound_that_refinement_cannot_exceed():
         assert dense.value <= cert.value * (1.0 + 1e-9) + 1e-12
 
 
+# Values of the grid-and-polish certificate as computed before the
+# tensor-product rewrite: sup norms of three seeded random polynomials per
+# degree (rng 400 + n) and, per degree d, verify_upper_bound(d, 150, 800 + d)'s
+# max quotient, quotient sum and quotients[::15].
+FROZEN_SUP_NORMS = {
+    1: (0.4965805493388773, 1.5318156905501215, 1.3331294002181358),
+    2: (1.7811023208338121, 0.68805267016394, 0.7105039022895445),
+    3: (0.644785443944051, 0.6790899788688627, 1.5450454340684516),
+    4: (1.668714065053067, 1.3115230211906588, 0.5980491756249586),
+    5: (1.5239383681848855, 1.95091061608812, 2.334673795877584),
+    6: (1.6585995947148438, 2.299362478444001, 1.6148554030478612),
+    7: (1.2123526461853358, 1.4858519952172178, 0.9531707384869565),
+    8: (2.351044698366967, 0.8676393959422364, 2.7411421603713233),
+}
+
+FROZEN_VERIFY = {
+    1: (0.7682167386436041, 36.285420788894264, (
+        0.2754070230975315, 0.24917543960391392, 0.24319556091592995,
+        0.2771241125479757, 0.009073175544525141, 0.3308369769532995,
+        0.2937848422422368, 0.16345422164543794, 0.18090963965502593, 0.3201220882928209)),
+    2: (0.4148228398391221, 16.602029885562153, (
+        0.06377456632729889, 0.0485773258294189, 0.018299425010029142,
+        0.11283549614248516, 0.03847722130654444, 0.03514025396034776,
+        0.09106557865778649, 0.13766837391221587, 0.12417913605977315,
+        0.13061004143420055)),
+    3: (0.2348761008893282, 9.802650563453092, (
+        0.05225852579919164, 0.10895008747284333, 0.16254333532264476,
+        0.00020195701260210895, 0.06616706265279647, 0.06402836709799596,
+        0.04917202463319124, 0.15925185898056618, 0.13931109368345504,
+        0.021917158494296946)),
+    4: (0.26785175457373755, 8.24129536954032, (
+        0.002008499296994068, 0.011196221665933368, 0.01802001223682112,
+        0.06263587293597452, 0.05116391791519734, 0.0966813756267676,
+        0.035047594778373305, 0.058377923107175225, 0.005037822884675005,
+        0.06043192204278877)),
+    5: (0.19232597234489085, 6.690180139645786, (
+        0.04260084442509249, 0.1062866184811884, 0.02368837567794623,
+        0.049511901710484606, 0.013839784636974366, 0.09985928541194028,
+        0.08218974146880928, 0.003973315138998093, 0.06940861525609666,
+        0.02428861836500316)),
+    6: (0.22145543893362715, 4.9376106215443265, (
+        0.0017054249572656414, 0.03664497346705543, 0.023661779041970643,
+        0.02509079468977393, 0.021862357569369953, 0.0287950883789684,
+        0.000471503070621258, 0.08056774303059168, 0.019434787322597572,
+        0.015700262088564645)),
+    7: (0.1355176089639944, 4.605899803163096, (
+        0.0268876855237596, 0.011565140536529897, 0.017053656757571492,
+        0.05279663859350557, 0.023941081423351957, 0.01755105241421756,
+        0.006737879979019513, 0.008630716589448478, 0.012724709671660228,
+        0.054983113983318795)),
+    8: (0.1167331626938534, 3.435785235370472, (
+        0.0547338881401232, 0.010230088815139014, 0.007897264233452092,
+        0.014905877329907042, 0.00451951379151662, 0.04059161910459477,
+        0.003894137395142378, 0.003180372923445551, 0.012192691904177532,
+        0.07720861833343576)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sup_norm_matches_frozen_values(n):
+    rng = np.random.default_rng(400 + n)
+    got = [pl.sup_norm_simplex(pl.random_polynomial(n, rng)).value for _ in range(3)]
+    assert got == pytest.approx(FROZEN_SUP_NORMS[n], rel=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_verify_quotients_match_frozen_values(d):
+    q = pl.verify_upper_bound(d, 150, seed=800 + d)["quotients"]
+    max_q, total, sampled = FROZEN_VERIFY[d]
+    assert max(q) == pytest.approx(max_q, rel=1e-12)
+    assert sum(q) == pytest.approx(total, rel=1e-12)
+    assert q[::15] == pytest.approx(sampled, rel=1e-12)
+
+
+def test_transplants_up_to_degree_8_have_unit_norm():
+    """T_n of a functional that is +-1 at a vertex and within [-1, 1] elsewhere."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        for _ in range(12):
+            v = rng.uniform(-1.0, 1.0, size=3)
+            v[rng.integers(3)] = rng.choice([-1.0, 1.0])
+            p = pl.chebyshev_transplant(n, v[0], [v[1] - v[0], v[2] - v[0]])
+            assert abs(pl.sup_norm_simplex(p).value - 1.0) <= 1e-10
+
+
+def test_sup_norm_of_constant_edges_and_tiny_grids():
+    # constant on x1 = 0 and on x2 = 0 (x1 x2 vanishes there), peak 1/4 at (1/2, 1/2)
+    p = pl.TotalDegreePolynomial(2, np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
+    assert pl.sup_norm_simplex(p).value == pytest.approx(0.25, rel=1e-15)
+    for m in (1, 2, 3, 5):
+        assert pl.sup_norm_simplex(p, grid_resolution=m).value == pytest.approx(0.25, rel=1e-15)
+    # x2 - x2^2 + x1^3 / 10: degree 2 on x1 = 0, peak on the hypotenuse at the
+    # root of 1 - 2t + 0.3t^2, far from the nodes of a 3 x 3 grid
+    sq = np.zeros((4, 4))
+    sq[0, 1], sq[0, 2], sq[3, 0] = 1.0, -1.0, 0.1
+    p = pl.TotalDegreePolynomial.from_square(3, sq)
+    t = (2.0 - math.sqrt(2.8)) / 0.6
+    want = t * (1.0 - t) + 0.1 * t**3
+    assert pl.sup_norm_simplex(p, grid_resolution=3).value == pytest.approx(want, rel=1e-14)
+
+
 def test_bernstein_ratio_linear_at_centroid():
     p = pl.TotalDegreePolynomial(1, np.array([0.0, -1.0, 1.0]))  # x1 - x2
     r = pl.bernstein_ratio(p, M, np.array([1.0, -1.0]), 1.0)
@@ -160,6 +262,26 @@ def test_sample_interior_margin_and_determinism():
     assert np.allclose(pts[0], again[0])
 
 
+class _CountingRng:
+    """Stands in for a Generator; fails instead of letting a loop run on."""
+
+    def __init__(self):
+        self.draws = 0
+        self.rng = np.random.default_rng(0)
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        if self.draws > 1000:
+            raise AssertionError("sample_interior kept drawing")
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("margin", [1.0 / 3.0, 0.5, math.nan])
+def test_sample_interior_rejects_an_empty_region(margin):
+    with pytest.raises(ValueError):
+        pl.sample_interior(_CountingRng(), margin)
+
+
 def test_verify_upper_bound_report_shape_and_determinism():
     rep1 = pl.verify_upper_bound(3, 150, seed=21)
     rep2 = pl.verify_upper_bound(3, 150, seed=21)
@@ -196,6 +318,24 @@ def test_gradient_cloud_contained_with_boundary_witness():
     assert float(np.max(proj / r[None, :])) >= 1.0 - 1e-9
 
 
+def test_gradient_cloud_reuses_the_transplant_catalog():
+    x = np.array([0.3, 0.25])
+    pl.empirical_gradient_cloud(x, degree=4, trials=30, seed=3)
+    hits = pl._transplant_catalog.cache_info().hits
+    first = pl.empirical_gradient_cloud(x, degree=4, trials=30, seed=3)
+    second = pl.empirical_gradient_cloud(x, degree=4, trials=30, seed=3)
+    assert pl._transplant_catalog.cache_info().hits == hits + 8
+    assert [s.vector.tolist() for s in first] == [s.vector.tolist() for s in second]
+    # frozen from the uncached path, which gave 264 samples: two more, both
+    # [0, 0], from transplants with |p(x)| equal to the norm, which a norm
+    # without the old 5e-15 overshoot leaves out
+    v = np.array([s.vector for s in first])
+    assert len(v) == 262
+    assert float(np.sum(np.linalg.norm(v, axis=1))) == pytest.approx(385.8464631883279, rel=1e-12)
+    want = [-1.321540661602004, -3.6390124434523887]
+    assert np.allclose(v.sum(axis=0), want, rtol=0.0, atol=1e-12 * 385.85)
+
+
 def test_gradient_cloud_validates_inputs():
     with pytest.raises(ValueError):
         pl.empirical_gradient_cloud(np.array([0.6, 0.6]), degree=2, trials=5, seed=0)
@@ -228,6 +368,15 @@ def test_interval_sharpness_degenerate_points_approach_bound(n, x, a, b):
     ratio, bound = pl.bernstein_szego_1d(n, x, a, b)
     assert ratio <= bound + 1e-9
     assert bound - ratio < 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_interval_ratio_near_an_endpoint_is_exact_and_fast(n):
+    """1 - T_n^2 < 1e-9 near a or b too; there the ratio is the generic one."""
+    start = time.perf_counter()
+    ratio, bound = pl.bernstein_szego_1d(n, 1e-11, 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert bound * (1.0 - 1e-9) <= ratio <= bound * (1.0 + 1e-12)
 
 
 def test_interval_sharpness_guards():
