@@ -7,12 +7,9 @@ the bound families, and a randomized polynomial verification harness.
 
 from .geometry import (
     ConvexPolygon,
-    InteriorPoint,
     PolygonFormatError,
-    UnitDirection,
     alpha,
     chord_balance,
-    diameter,
     difference_body,
     gamma,
     load_polygon,

@@ -2,14 +2,13 @@
 generalized Minkowski functional alpha(K, x).
 
 Polygons are stored as CCW vertex arrays.  All directional quantities accept
-plain unit vectors; ``UnitDirection`` is a thin validated wrapper for callers
-that want the angle carried along.
+plain unit vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,25 +20,6 @@ _BOUNDARY_TOL = 1e-12
 
 class PolygonFormatError(ValueError):
     """Raised when a polygon text file cannot be parsed; names the bad line."""
-
-
-@dataclass(frozen=True)
-class UnitDirection:
-    """Unit vector in the plane, stored by angle."""
-
-    theta: float
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-    @classmethod
-    def from_vector(cls, v) -> "UnitDirection":
-        v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("zero vector has no direction")
-        return cls(math.atan2(v[1], v[0]))
 
 
 @dataclass(frozen=True)
@@ -128,17 +108,6 @@ def require_interior(K: ConvexPolygon, x, tol: float = _BOUNDARY_TOL) -> np.ndar
     return x
 
 
-@dataclass(frozen=True)
-class InteriorPoint:
-    """A point validated to lie strictly inside a polygon (slack > 1e-12)."""
-
-    coords: np.ndarray
-    body: ConvexPolygon = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", require_interior(self.body, self.coords))
-
-
 def support(K: ConvexPolygon, u) -> float:
     """Support function h(K, u) = max over vertices of <v, u>."""
     return float(np.max(K.vertices @ np.asarray(u, dtype=float)))
@@ -153,10 +122,6 @@ def min_width(K: ConvexPolygon) -> float:
     """Minimal width; for a polygon the minimizing direction is an edge normal."""
     n, _ = K.edge_normals()
     return min(width(K, ni) for ni in n)
-
-
-def diameter(K: ConvexPolygon) -> float:
-    return K.diameter
 
 
 def difference_body(K: ConvexPolygon) -> ConvexPolygon:

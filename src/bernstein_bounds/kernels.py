@@ -5,6 +5,11 @@ sets: the fleecy cloud {t * y : |t| <= r(y)} (generally nonconvex) and the
 kernel, the intersection of the slabs |<v, y(theta)>| <= r(theta).  For the
 bound family coming from the pluripotential derivative the kernel is an exact
 ellipse with closed-form axes; for the chord-and-alpha family it is a polygon.
+
+A sampled table of N bounds gives 2N half-planes whose normals are already
+sorted by angle.  ``kernel_intersect`` finds the binding ones as the convex
+hull of their polar points in one O(N) stack pass (polar duality; the origin
+is strictly inside every half-plane) and intersects consecutive binding lines.
 """
 
 from __future__ import annotations
@@ -15,13 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import ConvexPolygon, _shoelace, clip_halfplane
+# clip_halfplane is unused here; perfbench/tracing.py rebinds kernels.clip_halfplane
+from .geometry import ConvexPolygon, clip_halfplane  # noqa: F401
 from .simplex import check_interior, kr_bound_dir
 
 
 @dataclass(frozen=True)
 class DirectionalBoundTable:
-    """Sampled directional bounds r(theta_k) > 0 on a uniform grid of [0, pi)."""
+    """Finite bounds r(theta_k) > 0 at finite angles strictly increasing in [0, pi).
+
+    ``from_function`` samples the uniform grid k * pi / n.
+    """
 
     thetas: np.ndarray
     r: np.ndarray
@@ -33,8 +42,12 @@ class DirectionalBoundTable:
             raise ValueError("thetas and r must be matching 1-d arrays")
         if len(thetas) < 16:
             raise ValueError("need at least 16 directions")
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(r))):
+            raise ValueError("thetas and r must be finite")
         if np.any(r <= 0.0):
             raise ValueError("all bounds must be positive")
+        if thetas[0] < 0.0 or thetas[-1] >= math.pi or np.any(np.diff(thetas) <= 0.0):
+            raise ValueError("thetas must increase strictly within [0, pi)")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "r", r)
 
@@ -64,67 +77,56 @@ class KernelRegion:
 
 
 def kernel_intersect(table: DirectionalBoundTable) -> KernelRegion:
-    """Intersect the slabs |<v, y(theta_k)>| <= r_k.
+    """Intersect the slabs |<v, y(theta_k)>| <= r_k exactly.
 
-    When every constraint line touches the intersection (the generic case for
-    our bound families) the vertices are the intersections of consecutive
-    lines sorted by normal angle; that O(N) construction is attempted first
-    and accepted only after verifying all candidates against all constraints.
-    Otherwise sequential half-plane clipping from a safe bounding box is used.
+    The 2N half-planes <n_k, v> <= c_k take the normals [dirs; -dirs], which
+    are sorted by angle because the table's thetas increase within [0, pi).
+    Every c_k = r_k > 0, so the origin is strictly inside each half-plane and,
+    by polar duality, a line bounds the intersection exactly when its polar
+    point n_k / c_k is a vertex of the convex hull of all polar points.  Those
+    are found in one stack pass over the angle-sorted polar points; the
+    vertices are the intersections of consecutive binding lines, and the
+    clusters left by (nearly) concurrent lines are merged.
     """
     dirs = np.stack([np.cos(table.thetas), np.sin(table.thetas)], axis=1)
     normals = np.vstack([dirs, -dirs])
     offsets = np.concatenate([table.r, table.r])
-    verts = _consecutive_line_vertices(normals, offsets)
-    if verts is not None:
-        # concurrent constraint lines leave clusters of candidates at the
-        # shared corner; merge at the same tolerance used to accept them
-        verts = _dedupe_loop(verts, tol=1e-9)
-    else:
-        verts = _dedupe_loop(_clip_kernel(dirs, table.r))
+    lines = _binding_lines(normals / offsets[:, None])
+    n1, c1 = normals[lines], offsets[lines]
+    n2, c2 = np.roll(n1, -1, axis=0), np.roll(c1, -1)
+    det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
+    vx = (c1 * n2[:, 1] - c2 * n1[:, 1]) / det
+    vy = (n1[:, 0] * c2 - n2[:, 0] * c1) / det
+    verts = _dedupe_loop(np.stack([vx, vy], axis=1))
     return KernelRegion(polygon=ConvexPolygon(verts), n_halfplanes=2 * len(table.r))
 
 
-def _consecutive_line_vertices(normals, offsets):
-    """Vertices of the half-plane intersection if every line is binding, else None."""
-    n2 = np.roll(normals, -1, axis=0)
-    c2 = np.roll(offsets, -1)
-    det = normals[:, 0] * n2[:, 1] - normals[:, 1] * n2[:, 0]
-    if np.any(np.abs(det) < 1e-12):
-        return None
-    vx = (offsets * n2[:, 1] - c2 * normals[:, 1]) / det
-    vy = (normals[:, 0] * c2 - n2[:, 0] * offsets) / det
-    verts = np.stack([vx, vy], axis=1)
-    scale = float(np.max(np.abs(verts)))
-    if not np.isfinite(scale):
-        return None
-    # every candidate must satisfy every constraint
-    for k in range(0, len(normals), 256):
-        reach = verts @ normals[k : k + 256].T - offsets[k : k + 256]
-        if np.max(reach) > 1e-9 * max(1.0, scale):
-            return None
-    e = np.roll(verts, -1, axis=0) - verts
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-    if np.any(cross < -1e-9 * scale * scale):
-        return None
-    return verts
+def _binding_lines(p: np.ndarray) -> np.ndarray:
+    """Ascending indices of the hull vertices of points p sorted by angle about 0.
+
+    The origin is interior to the hull, so the points form a star-shaped loop
+    and one stack pass from a known hull vertex (the farthest point) keeps
+    exactly the points where the loop turns strictly left.
+    """
+    m = len(p)
+    s = int(np.argmax(np.sum(p * p, axis=1)))
+    xs, ys = np.roll(p, -s, axis=0).T.tolist()
+    hull = [0]
+    for k in range(1, m + 1):
+        x, y = xs[k % m], ys[k % m]
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if (xs[b] - xs[a]) * (y - ys[b]) - (ys[b] - ys[a]) * (x - xs[b]) > 0.0:
+                break
+            hull.pop()
+        hull.append(k)
+    return np.sort((np.array(hull[:-1]) + s) % m)
 
 
-def _clip_kernel(dirs, r):
-    R = 2.0 * float(np.max(r))
-    region = np.array([[-R, -R], [R, -R], [R, R], [-R, R]])
-    for d, rk in zip(dirs, r):
-        region = clip_halfplane(region, d, rk)
-        region = clip_halfplane(region, -d, rk)
-        if len(region) == 0:
-            raise ValueError("kernel region collapsed; bounds are inconsistent")
-    return region
-
-
-def _dedupe_loop(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop consecutive near-duplicate vertices from a closed loop."""
+def _dedupe_loop(v: np.ndarray) -> np.ndarray:
+    """Drop vertices within 1e-9 (relative) of their predecessor in a closed loop."""
     scale = max(1.0, float(np.max(np.abs(v))))
-    keep = np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1) > tol * scale
+    keep = np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1) > 1e-9 * scale
     return v[keep]
 
 

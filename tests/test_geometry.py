@@ -150,13 +150,6 @@ def test_clip_halfplane_empty():
     assert len(out) == 0
 
 
-def test_unit_direction_normalizes():
-    d = geo.UnitDirection.from_vector(np.array([3.0, 4.0]))
-    assert np.allclose(d.vec, [0.6, 0.8])
-    with pytest.raises(ValueError):
-        geo.UnitDirection.from_vector(np.zeros(2))
-
-
 def test_parse_polygon_roundtrip_with_comments():
     text = "# a triangle\n0 0\n\n1 0   # apex right\n0 1\n"
     K = geo.parse_polygon_text(text)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstein_bounds import geometry as geo
 from bernstein_bounds import kernels as kn
@@ -24,6 +26,27 @@ def baran_table(x, n):
     return kn.DirectionalBoundTable.from_function(fn, n)
 
 
+def raised_baran_table(seed, n):
+    """baran at (0.3, 0.25) with one bound in eight raised by up to 1 %: redundant lines."""
+    rng = np.random.default_rng(seed)
+    tab = baran_table(np.array([0.3, 0.25]), n)
+    r = tab.r.copy()
+    pick = rng.choice(n, size=n // 8, replace=False)
+    r[pick] *= 1.0 + 0.01 * rng.uniform(size=len(pick))
+    return kn.DirectionalBoundTable(tab.thetas, r)
+
+
+def clip_reference_area(tab):
+    """Area of the slab intersection by clipping a bounding box with every half-plane."""
+    R = 2.0 * float(np.max(tab.r))
+    region = np.array([[-R, -R], [R, -R], [R, R], [-R, R]])
+    for t, rk in zip(tab.thetas, tab.r):
+        d = np.array([math.cos(t), math.sin(t)])
+        region = geo.clip_halfplane(geo.clip_halfplane(region, d, rk), -d, rk)
+    keep = np.linalg.norm(region - np.roll(region, 1, axis=0), axis=1) > 1e-12 * R
+    return geo.ConvexPolygon(region[keep]).area
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         kn.DirectionalBoundTable.from_function(lambda t: np.ones_like(t), 8)
@@ -31,6 +54,27 @@ def test_table_validation():
         kn.DirectionalBoundTable.from_function(lambda t: np.zeros_like(t), 32)
     with pytest.raises(ValueError):
         kn.DirectionalBoundTable(thetas=np.linspace(0, 3, 20), r=np.ones(19))
+
+
+GRID32 = np.arange(32) * (math.pi / 32)
+
+
+@pytest.mark.parametrize(
+    "thetas, r",
+    [
+        (GRID32, np.where(np.arange(32) == 5, np.nan, 1.0)),
+        (GRID32, np.where(np.arange(32) == 5, np.inf, 1.0)),
+        (np.where(np.arange(32) == 5, np.nan, GRID32), np.ones(32)),
+        (GRID32[::-1], np.ones(32)),
+        (np.roll(GRID32, 1), np.ones(32)),
+        (GRID32 * 2.0, np.ones(32)),
+        (GRID32 + math.pi / 32, np.ones(32)),
+    ],
+    ids=["nan r", "inf r", "nan theta", "decreasing", "unsorted", "past 2pi", "last at pi"],
+)
+def test_table_rejects_non_finite_and_unordered_input(thetas, r):
+    with pytest.raises(ValueError):
+        kn.DirectionalBoundTable(thetas=thetas, r=r)
 
 
 def test_table_from_function_grid():
@@ -63,30 +107,54 @@ def test_hexagon_excess_decays_like_one_over_n():
     assert 2.5 < r2 < 3.5
 
 
-def test_fast_vertex_path_matches_clipping():
+def test_kernel_matches_the_clip_reference():
     for tab in (kr_table(M, 97), baran_table(M, 97), baran_table(np.array([0.2, 0.5]), 61)):
-        dirs = np.stack([np.cos(tab.thetas), np.sin(tab.thetas)], axis=1)
-        normals = np.vstack([dirs, -dirs])
-        offsets = np.concatenate([tab.r, tab.r])
-        fast = kn._consecutive_line_vertices(normals, offsets)
-        assert fast is not None
-        a_fast = geo.ConvexPolygon(kn._dedupe_loop(fast, tol=1e-9)).area
-        a_slow = geo.ConvexPolygon(kn._dedupe_loop(kn._clip_kernel(dirs, tab.r))).area
-        assert a_fast == pytest.approx(a_slow, abs=1e-10)
+        assert kn.kernel_intersect(tab).area == pytest.approx(clip_reference_area(tab), abs=1e-10)
 
 
-def test_fast_path_refuses_redundant_constraints():
-    # one almost-useless huge bound makes its candidate vertices infeasible
+def test_redundant_line_is_dropped():
+    # one almost-useless huge bound: its line never touches the kernel
     thetas = np.arange(32) * (math.pi / 32)
     r = np.ones(32)
     r[7] = 50.0
-    normals = np.vstack(
-        [np.stack([np.cos(thetas), np.sin(thetas)], axis=1), -np.stack([np.cos(thetas), np.sin(thetas)], axis=1)]
-    )
-    assert kn._consecutive_line_vertices(normals, np.concatenate([r, r])) is None
-    # the full intersect still works through the clipping fallback
-    reg = kn.kernel_intersect(kn.DirectionalBoundTable(thetas=thetas, r=r))
-    assert reg.area > 0.0
+    tab = kn.DirectionalBoundTable(thetas=thetas, r=r)
+    reg = kn.kernel_intersect(tab)
+    assert reg.area == pytest.approx(clip_reference_area(tab), abs=1e-10)
+    reach = np.abs(reg.polygon.vertices @ np.array([math.cos(thetas[7]), math.sin(thetas[7])]))
+    assert np.max(reach) < 50.0 - 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=16, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+def test_every_vertex_satisfies_every_slab_property(n, seed, spread):
+    """Random positive tables, log-uniform over e^(+-spread): feasible and equal to clipping."""
+    r = np.exp(np.random.default_rng(seed).uniform(-spread, spread, n))
+    tab = kn.DirectionalBoundTable(thetas=np.arange(n) * (math.pi / n), r=r)
+    reg = kn.kernel_intersect(tab)
+    v = reg.polygon.vertices
+    dirs = np.stack([np.cos(tab.thetas), np.sin(tab.thetas)], axis=1)
+    scale = max(1.0, float(np.max(np.abs(v))))
+    assert np.max(np.abs(v @ dirs.T) - r[None, :]) <= 1e-9 * scale
+    assert reg.area == pytest.approx(clip_reference_area(tab), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "make, area",
+    [
+        (lambda: kr_table(M, 101), 18.11665128615453),
+        (lambda: kr_table(M, 909), 18.01296037669844),
+        (lambda: baran_table(M, 512), 16.32427110308765),
+        (lambda: raised_baran_table(4, 256), 17.10120429287121),
+    ],
+    ids=["kr 101", "kr 909", "baran 512", "raised baran 256"],
+)
+def test_kernel_area_matches_frozen_values(make, area):
+    """Areas from the earlier consecutive-line and clipping construction."""
+    assert kn.kernel_intersect(make()).area == pytest.approx(area, rel=1e-12)
 
 
 def test_kernel_region_rejects_asymmetric_polygon():
