@@ -237,7 +237,7 @@ def cmd_extremal(args) -> int:
     vals = args.z
     if len(vals) < 4 or len(vals) % 2 != 0:
         raise ValueError("need an even number (>= 4) of components: re im pairs")
-    z = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+    z = np.array(vals).view(complex)  # re im pairs are numpy's complex layout; 1j * inf is nan
     print(_fmt(float(sx.siciak_extremal(z))))
     return 0
 

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 # clip_halfplane is unused here; perfbench/tracing.py rebinds ellipse.clip_halfplane
-from .geometry import ConvexPolygon, _golden_min, clip_halfplane, require_interior  # noqa: F401
+from .geometry import ConvexPolygon, clip_halfplane, require_interior  # noqa: F401
 
 # box rows over (a1, a2, t) and their bounds, a in units of diam(K), t of diam(K)^2
 _BOX_G = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
 _BOX_H = np.array([1.0, 1, 1, 1, 1, 0])
 _ROW_TOL = 1e-12  # rounding allowed on a row in those units
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,23 @@ def best_ellipse(K: ConvexPolygon, x, y) -> EllipseSolveReport:
     return EllipseSolveReport(w.b, w, len(h) - len(_BOX_H), residual, active)
 
 
+def _golden_min(f, a, b, tol=1e-12):
+    """Golden-section minimum value of f on [a, b]."""
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+    return min(f1, f2)
+
+
 def best_ellipse_all_dirs(K: ConvexPolygon, x, n_dirs: int = 256) -> float:
     """Directional minimum of best_ellipse over axis angles in [0, pi).
 
@@ -141,5 +159,5 @@ def best_ellipse_all_dirs(K: ConvexPolygon, x, n_dirs: int = 256) -> float:
     vals = np.array([f(t) for t in thetas])
     k = int(np.argmin(vals))
     h = math.pi / n_dirs
-    refined, _ = _golden_min(f, thetas[k] - h, thetas[k] + h, tol=1e-10)
+    refined = _golden_min(f, thetas[k] - h, thetas[k] + h, tol=1e-10)
     return min(float(vals[k]), refined)

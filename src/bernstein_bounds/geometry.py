@@ -13,8 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 _BOUNDARY_TOL = 1e-12
 
 
@@ -186,50 +184,29 @@ def chord_balance(K: ConvexPolygon, x, thetas) -> np.ndarray:
     return 2.0 * np.sqrt(tp * tm) / (tp + tm)
 
 
-def gamma(K: ConvexPolygon, x, n_grid: int = 2048, return_angle: bool = False):
-    """Infimum of the chord balance over all chord angles.
+def gamma(K: ConvexPolygon, x, return_angle: bool = False):
+    """Infimum of the chord balance over all chord angles, and its angle mod pi.
 
-    Angular sweep on a uniform grid followed by golden-section refinement
-    around the three best grid cells; refinement never increases the value.
+    Between consecutive vertex directions arg(v_k - x) mod pi the chord through
+    x ends on two fixed edges i and j, and the ratio of its halves, rho = s_i
+    (-n_j . d) / (s_j (n_i . d)) with s the slacks of x, is monotone (the sign
+    of its derivative is that of n_i x n_j).  The balance 2 sqrt(rho)/(1 + rho)
+    is quasi-concave in rho, so on each arc it is least at a vertex chord.
     """
     x = require_interior(K, x)
-    thetas = np.arange(n_grid) * (math.pi / n_grid)
-    vals = chord_balance(K, x, thetas)
-    best_val = float(np.min(vals))
-    best_theta = float(thetas[int(np.argmin(vals))])
-    h = math.pi / n_grid
-    f = lambda t: float(chord_balance(K, x, t)[0])
-    for i in np.argsort(vals)[:3]:
-        t0 = thetas[i]
-        v, t = _golden_min(f, t0 - h, t0 + h)
-        if v < best_val:
-            best_val, best_theta = v, t
+    d = K.vertices - x
+    rho = _ray_hits(K, x, -d)  # in units of |v_k - x| the front half is 1
+    vals = 2.0 * np.sqrt(rho) / (1.0 + rho)
+    k = int(np.argmin(vals))
     if return_angle:
-        return best_val, best_theta % math.pi
-    return best_val
+        return float(vals[k]), math.atan2(d[k, 1], d[k, 0]) % math.pi
+    return float(vals[k])
 
 
 def alpha(K: ConvexPolygon, x) -> float:
-    """Generalized Minkowski functional sqrt(1 - gamma^2)."""
+    """Generalized Minkowski functional sqrt(1 - gamma^2), gamma exact."""
     g = gamma(K, x)
     return math.sqrt(max(1.0 - g * g, 0.0))
-
-
-def _golden_min(f, a, b, tol=1e-12):
-    """Golden-section minimum of f on [a, b]; returns (value, argmin)."""
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    return (f1, x1) if f1 <= f2 else (f2, x2)
 
 
 def clip_halfplane(vertices: np.ndarray, n, c: float) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Closed-form bound data on the standard simplex.
 
-Two independent routes to the same directional derivative bound live here:
-the inscribed-ellipse constant E and the pluripotential normal derivative
-(whose product is identically 1), plus the chord-length and Minkowski
-functional formulas feeding the older support-function bound.
+The inscribed-ellipse constant E and the pluripotential normal derivative D
+are one closed form (E D = 1); the extremal function V gives D a second,
+independent route.  The chord-length and Minkowski functional formulas
+feeding the older support-function bound live here too.
 
 Everything is vectorized: points have shape (..., d), directions broadcast
 against them, and scalars come back for scalar input.
@@ -18,8 +18,8 @@ import numpy as np
 _MARGIN = 1e-12
 
 
-def _as_points(x):
-    x = np.asarray(x, dtype=float)
+def _as_points(x, dtype=float):
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("points must have shape (..., d) with d >= 2")
     return x
@@ -30,7 +30,8 @@ def check_interior(x, margin: float = _MARGIN):
     x = _as_points(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("point must be finite")
-    s = np.sum(x, axis=-1)
+    with np.errstate(over="ignore"):  # a sum that overflows to inf fails the check below
+        s = np.sum(x, axis=-1)
     if np.any(np.min(x, axis=-1) <= margin) or np.any(1.0 - s <= margin):
         raise ValueError("point is not strictly interior to the simplex")
     return x
@@ -47,20 +48,17 @@ def _unit(y):
 def ellipse_constant_dir(x, y):
     """Largest half-axis b of an inscribed ellipse through x with axis direction y.
 
-    E(x, y) = (sum y_i^2/x_i + (sum y_i)^2/(1 - sum x_i))^(-1/2) with y taken
-    as a unit vector; the raw expression is homogeneous of degree -1 in y.
+    E(x, y) = 1/baran_derivative(x, y): the sharpest inscribed ellipse and the
+    extremal function give the same bound, from one closed form.
     """
-    x = check_interior(x)
-    y = _unit(y)
-    s = np.sum(y * y / x, axis=-1) + np.sum(y, axis=-1) ** 2 / (1.0 - np.sum(x, axis=-1))
-    return 1.0 / np.sqrt(s)
+    return 1.0 / baran_derivative(x, y)
 
 
 def baran_derivative(x, y):
-    """Normal subderivative of the simplex extremal function at x toward i*y.
+    """Normal subderivative D_y+ V(x) of the simplex extremal function toward i*y.
 
-    For the standard simplex this is exactly 1/ellipse_constant_dir(x, y);
-    both sides are computed independently and tests pin the coincidence.
+    D = (sum y_i^2/x_i + (sum y_i)^2/(1 - sum x_i))^(1/2) with y taken as a
+    unit vector; the tests pin it by the independent route V(x + i t y)/t.
     """
     x = check_interior(x)
     y = _unit(y)
@@ -116,16 +114,21 @@ def kr_bound_dir(x, phi):
 def siciak_extremal(z):
     """Extremal (Green) function of the simplex at a point of C^d.
 
-    V(z) = log h(sum |z_i| + |1 - sum z_i|) with h(w) = w + sqrt(w^2 - 1);
-    the argument of h is always real and >= 1, and V vanishes on the simplex.
+    V(z) = arccosh(w), w = sum |zeta| over zeta = z_1, ..., z_d, 1 - sum z.
+    As sum Re zeta = 1, w - 1 = sum |zeta| - Re zeta, each term Im^2/(|zeta| +
+    Re zeta) if Re zeta > 0; r = sqrt(w - 1) is summed by hypot and V =
+    log1p(r (r + sqrt(r^2 + 2))), so V keeps its digits near K; a point that
+    is not finite, or whose w overflows, is a ValueError.
     """
-    z = np.asarray(z)
-    if z.ndim == 0 or z.shape[-1] < 2:
-        raise ValueError("points must have shape (..., d) with d >= 2")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("point must be finite")
-    w = np.sum(np.abs(z), axis=-1) + np.abs(1.0 - np.sum(z, axis=-1))
-    out = np.log(w + np.sqrt(np.clip(w * w - 1.0, 0.0, None)))
+    z = _as_points(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        zeta = np.concatenate([z, 1.0 - np.sum(z, axis=-1, keepdims=True)], axis=-1)
+        re, mod = zeta.real, np.abs(zeta)
+        root = np.where(re > 0.0, abs(zeta.imag) / np.sqrt(mod + re), np.sqrt(mod - re))
+        r = np.hypot.reduce(root, axis=-1)
+        out = np.log1p(r * (r + np.sqrt(r * r + 2.0)))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("point must be finite and small enough that V does not overflow")
     return out if out.ndim else float(out)
 
 

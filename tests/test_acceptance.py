@@ -44,6 +44,19 @@ def test_criterion_01_coincidence_of_the_two_bounds():
     print(f"criterion 1 PASS: max |D*E - 1| = {dev:.3e} over {E.size} pairs in {dt:.2f}s")
 
 
+def test_criterion_01_independent_route_through_the_extremal_function():
+    """D_y+ V(x) = lim V(x + i t y) / t, taken from siciak_extremal, not from E."""
+    pts = cli.interior_grid(50)
+    phis = np.linspace(0.0, math.pi, 64, endpoint=False)
+    y = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    t = 1e-8
+    V = sx.siciak_extremal(pts[:, None, :] + 1j * t * y[None, :, :])
+    D = sx.baran_derivative(pts[:, None, :], y[None, :, :])
+    dev = float(np.max(np.abs(V / (t * D) - 1.0)))
+    assert dev <= 1e-10
+    print(f"criterion 1 PASS: max |V(x + ity)/(tD) - 1| = {dev:.3e} over {D.size} pairs at t = {t:g}")
+
+
 def test_criterion_02_numeric_ellipse_matches_closed_form():
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)

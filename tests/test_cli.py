@@ -143,6 +143,24 @@ def test_extremal_odd_arity_is_exit_3(capsys):
     assert cli.main(["extremal", "0.5", "0", "1.5"]) == 3
 
 
+def test_extremal_far_from_and_near_the_simplex(capsys):
+    # V = arccosh(2e200) = log(4e200); w * w overflowed and printed inf
+    assert cli.main(["extremal", "1e200", "0", "0", "0"]) == 0
+    want = math.log(4.0) + 200.0 * math.log(10.0)
+    assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-11)
+    # V(x + i t y) = t D(x, y) to first order; w - 1 = O(t^2) underflowed to 0
+    assert cli.main(["extremal", "0.3", "1e-200", "0.25", "0"]) == 0
+    want = 1e-200 * math.sqrt(1.0 / 0.3 + 1.0 / 0.45)
+    assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-11)
+
+
+def test_extremal_overflow_is_exit_3(capsys):
+    assert cli.main(["extremal", "1e308", "0", "0", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ")
+
+
 def test_ellipse_subcommand(tri_file, capsys):
     rc = cli.main(["ellipse", tri_file, "0.1", "0.1", str(math.pi / 4)])
     assert rc == 0
@@ -171,6 +189,8 @@ def test_non_finite_input_is_exit_3(tri_file, capsys, argv):
         ["extremal", "nan", "0", "0", "0"],
         ["extremal", "0.2", "0", "inf", "0"],
         ["kernel", "nan", "0.25", "--dirs", "8"],
+        ["extremal", "0.2", "0", "0.3", "inf"],
+        ["kernel", "1e308", "1e308", "--dirs", "8"],  # x1 + x2 overflows
     ],
 )
 def test_non_finite_point_is_exit_3(capsys, argv):

@@ -110,23 +110,25 @@ def test_gamma_quarter_point():
     # sqrt(3)/2 is what the chord-balance infimum actually evaluates to here;
     # a dense direct sweep over angles confirms it against hand values
     g = geo.gamma(TRI, np.array([0.25, 0.25]))
-    assert g == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-9)
-    assert geo.alpha(TRI, np.array([0.25, 0.25])) == pytest.approx(0.5, abs=1e-9)
+    assert g == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+    assert geo.alpha(TRI, np.array([0.25, 0.25])) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_gamma_centroid_matches_simplex_alpha():
     a = geo.alpha(TRI, np.array([1 / 3, 1 / 3]))
-    assert a == pytest.approx(1 / 3, abs=1e-9)
+    assert a == pytest.approx(1 / 3, abs=1e-12)
     g, ang = geo.gamma(TRI, np.array([1 / 3, 1 / 3]), return_angle=True)
-    assert g == pytest.approx(math.sqrt(8.0) / 3.0, abs=1e-9)
+    assert g == pytest.approx(math.sqrt(8.0) / 3.0, abs=1e-12)
     assert 0.0 <= ang < math.pi
+    # the minimizing chord runs through a vertex, and its balance is g
+    assert geo.chord_balance(TRI, np.array([1 / 3, 1 / 3]), ang)[0] == pytest.approx(g, abs=1e-12)
 
 
 def test_alpha_matches_closed_form_on_interior_grid():
     pts = [(0.2, 0.3), (0.1, 0.1), (0.4, 0.25), (0.15, 0.6)]
     for p in pts:
         want = float(sx.alpha_simplex(np.array(p)))
-        assert geo.alpha(TRI, np.array(p)) == pytest.approx(want, abs=1e-8)
+        assert geo.alpha(TRI, np.array(p)) == pytest.approx(want, abs=1e-12)
 
 
 def test_require_interior_rejects_boundary_and_outside():
@@ -206,7 +208,37 @@ def test_chord_order_on_random_hulls(seed, phi):
 def test_gamma_bounds_on_random_hulls(seed):
     K = _random_hull(seed)
     x = K.centroid
-    g = geo.gamma(K, x, n_grid=256)
+    g = geo.gamma(K, x)
     assert 0.0 < g <= 1.0 + 1e-12
     a = geo.alpha(K, x)
     assert 0.0 <= a < 1.0
+    # the vertex chords are exact: no chord angle balances worse
+    sweep = geo.chord_balance(K, x, np.linspace(0.0, math.pi, 20_001))
+    assert g <= float(np.min(sweep)) * (1.0 + 1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.01, max_value=0.97),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+def test_alpha_on_affine_triangle_images(u, v, rot1, rot2, s1, s2, c1, c2):
+    """alpha is affine invariant, so on any triangle it is 1 - 2 min barycentric."""
+
+    def rotation(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    A = rotation(rot1) @ np.diag([s1, s2]) @ rotation(rot2)
+    x = np.array([u, v * (1.0 - u - 0.02) + 0.01])
+    if np.linalg.det(A) < 0.0:  # keep the image counter-clockwise
+        A = A[:, ::-1]
+        x = x[::-1].copy()
+    K = geo.ConvexPolygon(TRI.vertices @ A.T + np.array([c1, c2]))
+    want = 1.0 - 2.0 * min(x[0], x[1], 1.0 - x[0] - x[1])
+    assert abs(geo.alpha(K, A @ x + np.array([c1, c2])) - want) <= 1e-12

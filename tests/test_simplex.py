@@ -163,6 +163,28 @@ def test_siciak_vectorized_and_monotone_on_rays():
     assert np.all(np.diff(vals) > 0.0)
 
 
+def test_siciak_keeps_its_digits_near_the_simplex():
+    """V(x + i t y) / t -> D(x, y) as t -> 0+, down to t far below sqrt(tiny)."""
+    x = np.array([0.2, 0.1, 0.3])
+    y = np.array([0.6, -0.8, 0.5])
+    D = float(sx.baran_derivative(x, y))
+    for t in (1e-8, 1e-100, 1e-200):
+        V = sx.siciak_extremal(x + 1j * t * y / np.linalg.norm(y))
+        assert V / t == pytest.approx(D, rel=1e-12)
+
+
+def test_siciak_far_from_the_simplex():
+    assert sx.siciak_extremal(np.array([1e200, 0.0])) == pytest.approx(
+        math.log(4e200), rel=1e-15
+    )
+    assert sx.siciak_extremal(np.array([1e150j, 0.0])) == pytest.approx(
+        math.log(4e150), rel=1e-15
+    )
+    for z in ([1e308, 0.0], [1e308j, 0.0], [1e308, 1e308]):
+        with pytest.raises(ValueError):
+            sx.siciak_extremal(np.array(z))
+
+
 def test_equilibrium_density_centroid():
     assert sx.equilibrium_density(M) == pytest.approx(32.648388556215924, rel=1e-14)
 
