@@ -1,5 +1,9 @@
 """Command-line surface: comparison sweeps, constants, kernels, verification.
 
+`compare` holds its sweep as one float table, a row per (point, direction)
+with the columns COMPARE_COLUMNS, and writes it as %.12g CSV or as JSON.
+Negative float arguments may carry an exponent, as in -1e-3.
+
 Exit codes: 0 ok, 2 parse failure, 3 domain error (non-interior point and
 friends), 4 unwritable output.  All randomness is pinned by --seed and output
 ordering is fixed, so identical invocations produce byte-identical files.
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -27,24 +32,20 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 _EQUALITY_ANGLES = np.array([0.0, math.pi / 2.0, 3.0 * math.pi / 4.0])
 
+COMPARE_COLUMNS = ("x1", "x2", "phi", "inv_E", "kr", "baran", "quotient")
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One sweep entry comparing the three directional bounds at (x, phi)."""
+# argparse takes only forms like -1 and -0.5 for numbers, so -1e-3 would be an option;
+# no option of this CLI looks like a number
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
-    x1: float
-    x2: float
-    phi: float
-    inv_E: float
-    kr: float
-    baran: float
-    quotient: float
 
-    def __post_init__(self):
-        if self.quotient < 1.0 - 1e-9:
-            raise ValueError(f"bound domination violated: quotient {self.quotient}")
-        if abs(self.inv_E - self.baran) > 1e-12 * max(1.0, abs(self.baran)):
-            raise ValueError("ellipse and pluripotential bounds disagree")
+def check_domination(inv_E, baran, quotient) -> None:
+    """Raise ValueError unless kr/inv_E >= 1 and 1/E equals Baran's D, entrywise."""
+    low = quotient < 1.0 - 1e-9
+    if np.any(low):
+        raise ValueError(f"bound domination violated: quotient {float(quotient[low][0])}")
+    if np.any(np.abs(inv_E - baran) > 1e-12 * np.maximum(1.0, np.abs(baran))):
+        raise ValueError("ellipse and pluripotential bounds disagree")
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,24 @@ class ConstantSweepResult:
 
 
 def interior_grid(grid: int, margin: float = 1e-3) -> np.ndarray:
-    """Lattice (i, j)/(grid+1) restricted to barycentric slack > margin."""
+    """Lattice (i, j)/(grid+1) restricted to barycentric slack > margin >= 0."""
     t = np.arange(1, grid + 1) / (grid + 1)
     x1, x2 = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
     slack = np.minimum(np.minimum(pts[:, 0], pts[:, 1]), 1.0 - pts.sum(axis=1))
-    return pts[slack > margin]
+    pts = pts[slack > margin]
+    if not margin >= 0.0 or len(pts) == 0:  # a negative margin admits points outside
+        raise ValueError(f"margin {margin} must be >= 0 and leave an interior point of grid {grid}")
+    return pts
 
 
 def comparison_sweep(grid: int, dirs: int, margin: float = 1e-3):
-    """All ComparisonRows on the interior grid x direction grid, plus a summary."""
+    """The three directional bounds on the interior grid x direction grid.
+
+    Returns (table, summary). table is a (points * dirs, 7) float array with
+    the columns COMPARE_COLUMNS, one row per (point, direction), points in
+    interior_grid order and directions phi = k*pi/dirs innermost.
+    """
     if grid < 4:
         raise ValueError("grid must be >= 4")
     pts = interior_grid(grid, margin)
@@ -80,37 +89,22 @@ def comparison_sweep(grid: int, dirs: int, margin: float = 1e-3):
     baran = sx.baran_derivative(pts[:, None, :], y[None, :, :])
     kr = sx.kr_bound_dir(pts[:, None, :], phis[None, :])
     quotient = kr / inv_E
-    rows = []
-    for i in range(len(pts)):
-        for k in range(dirs):
-            rows.append(
-                ComparisonRow(
-                    x1=float(pts[i, 0]),
-                    x2=float(pts[i, 1]),
-                    phi=float(phis[k]),
-                    inv_E=float(inv_E[i, k]),
-                    kr=float(kr[i, k]),
-                    baran=float(baran[i, k]),
-                    quotient=float(quotient[i, k]),
-                )
-            )
-    flat_q = np.array([r.quotient for r in rows])
-    arg = int(np.argmin(flat_q))
-    near = [r for r in rows if r.quotient < 1.0 + 1e-6]
-    if near:
-        dev = max(
-            float(np.min(np.abs((r.phi - _EQUALITY_ANGLES + math.pi / 2.0) % math.pi - math.pi / 2.0)))
-            for r in near
-        )
-    else:
-        dev = 0.0
+    check_domination(inv_E, baran, quotient)
+    table = np.column_stack([
+        np.repeat(pts[:, 0], dirs), np.repeat(pts[:, 1], dirs), np.tile(phis, len(pts)),
+        inv_E.ravel(), kr.ravel(), baran.ravel(), quotient.ravel(),
+    ])
+    q = table[:, 6]
+    arg = int(np.argmin(q))
+    near_phi = table[q < 1.0 + 1e-6, 2]
+    dev = np.abs((near_phi[:, None] - _EQUALITY_ANGLES + math.pi / 2.0) % math.pi - math.pi / 2.0)
     summary = {
-        "min_quotient": float(flat_q[arg]),
-        "argmin": {"x1": rows[arg].x1, "x2": rows[arg].x2, "phi": rows[arg].phi},
-        "near_equality_count": len(near),
-        "near_equality_max_phi_deviation": dev,
+        "min_quotient": float(q[arg]),
+        "argmin": dict(zip(COMPARE_COLUMNS[:3], table[arg, :3].tolist())),
+        "near_equality_count": len(near_phi),
+        "near_equality_max_phi_deviation": float(dev.min(axis=1).max(initial=0.0)),
     }
-    return rows, summary
+    return table, summary
 
 
 def constant_sweep(grid: int, margin: float = 1e-3) -> ConstantSweepResult:
@@ -150,7 +144,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rows, summary = comparison_sweep(args.grid, args.dirs, args.margin)
+    table, summary = comparison_sweep(args.grid, args.dirs, args.margin)
     meta = {
         "grid": args.grid,
         "dirs": args.dirs,
@@ -158,18 +152,15 @@ def cmd_compare(args) -> int:
         "summary": summary,
     }
     if args.format == "csv":
-        lines = ["x1,x2,phi,inv_E,kr,baran,quotient"]
-        for r in rows:
-            lines.append(
-                ",".join(_fmt(v) for v in (r.x1, r.x2, r.phi, r.inv_E, r.kr, r.baran, r.quotient))
-            )
-        _write(args.out, "\n".join(lines) + "\n")
+        row = ",".join(["%.12g"] * len(COMPARE_COLUMNS)) + "\n"
+        body = row * len(table) % tuple(table.ravel().tolist())
+        _write(args.out, ",".join(COMPARE_COLUMNS) + "\n" + body)
     elif args.format == "json":
-        payload = {"meta": meta, "rows": [r.__dict__ for r in rows]}
-        _write(args.out, json.dumps(payload, indent=1) + "\n")
+        rows = [dict(zip(COMPARE_COLUMNS, r)) for r in table.tolist()]
+        _write(args.out, json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n")
     else:
         raise ValueError("compare supports csv or json")
-    print(f"rows={len(rows)} min_quotient={_fmt(summary['min_quotient'])} "
+    print(f"rows={len(table)} min_quotient={_fmt(summary['min_quotient'])} "
           f"near_equality={summary['near_equality_count']}")
     return 0
 
@@ -311,6 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("phi", type=float)
     p.set_defaults(func=cmd_ellipse)
 
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 

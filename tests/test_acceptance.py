@@ -188,15 +188,17 @@ def test_criterion_08_randomized_inequality_harness():
 
 
 def test_criterion_09_equality_directions():
-    rows, summary = cli.comparison_sweep(50, 64)
-    near = [r for r in rows if r.quotient < 1.0 + 1e-6]
+    table, summary = cli.comparison_sweep(50, 64)
+    phi, quotient = table[:, 2], table[:, 6]
+    near = phi[quotient < 1.0 + 1e-6]
     assert len(near) > 0
     special = np.array([0.0, math.pi / 2.0, 3.0 * math.pi / 4.0])
-    worst = 0.0
-    for r in near:
-        d = np.min(np.abs((r.phi - special + math.pi / 2.0) % math.pi - math.pi / 2.0))
-        worst = max(worst, float(d))
+    # distance of each near-equality direction to the nearest special one, mod pi
+    d = np.abs((near[:, None] - special + math.pi / 2.0) % math.pi - math.pi / 2.0)
+    worst = float(d.min(axis=1).max())
     assert worst <= 1e-3
+    assert summary["near_equality_count"] == len(near)
+    assert summary["near_equality_max_phi_deviation"] == worst
     print(f"criterion 9 PASS: {len(near)} near-equality rows, max angle deviation {worst:.3e}")
 
 

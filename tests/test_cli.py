@@ -244,13 +244,50 @@ def test_kernel_quarter_point_area(tmp_path):
 
 
 def test_compare_quotients_at_centroid():
-    rows, _ = cli.comparison_sweep(20, 36)
-    at_m = [r for r in rows if abs(r.x1 - 1 / 3) < 1e-12 and abs(r.x2 - 1 / 3) < 1e-12]
-    assert at_m
-    axis = next(r for r in at_m if r.phi == 0.0)
-    diag = next(r for r in at_m if abs(r.phi - math.pi / 4.0) < 1e-12)
-    assert axis.quotient == pytest.approx(1.0, abs=1e-9)
-    assert diag.quotient == pytest.approx(2.0 * math.sqrt(3.0) / 3.0, abs=1e-12)
+    table, _ = cli.comparison_sweep(20, 36)
+    x1, x2, phi, quotient = table[:, [0, 1, 2, 6]].T
+    at_m = (np.abs(x1 - 1 / 3) < 1e-12) & (np.abs(x2 - 1 / 3) < 1e-12)
+    assert at_m.any()
+    axis = quotient[at_m & (phi == 0.0)]
+    diag = quotient[at_m & (np.abs(phi - math.pi / 4.0) < 1e-12)]
+    assert len(axis) == len(diag) == 1
+    assert axis[0] == pytest.approx(1.0, abs=1e-9)
+    assert diag[0] == pytest.approx(2.0 * math.sqrt(3.0) / 3.0, abs=1e-12)
+
+
+def test_comparison_sweep_rows_and_summary():
+    table, summary = cli.comparison_sweep(30, 32)
+    assert table.shape == (13920, len(cli.COMPARE_COLUMNS))
+    assert summary["min_quotient"] == pytest.approx(1.0, abs=1e-12)
+    assert summary["near_equality_count"] == 30
+
+
+def _reference_csv(table):
+    """The CSV formatted one value at a time, as a row class would."""
+    lines = [",".join(cli.COMPARE_COLUMNS)]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_compare_csv_bytes_match_per_value_formatting(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert cli.main(["compare", "--grid", "30", "--dirs", "32", "--out", str(out)]) == 0
+    table, summary = cli.comparison_sweep(30, 32)
+    assert out.read_bytes() == _reference_csv(table).encode()
+    want = f"rows=13920 min_quotient={summary['min_quotient']:.12g} near_equality=30\n"
+    assert capsys.readouterr().out == want
+    assert cli.main(["compare", "--grid", "5", "--dirs", "8"]) == 0
+    assert capsys.readouterr().out.startswith(_reference_csv(cli.comparison_sweep(5, 8)[0]))
+
+
+def test_compare_json_bytes_match_row_dicts(tmp_path):
+    out = tmp_path / "f.json"
+    argv = ["compare", "--grid", "20", "--dirs", "36", "--margin", "0.05", "--format", "json"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    table, summary = cli.comparison_sweep(20, 36, 0.05)
+    rows = [{c: float(v) for c, v in zip(cli.COMPARE_COLUMNS, row)} for row in table]
+    meta = {"grid": 20, "dirs": 36, "margin": 0.05, "summary": summary}
+    assert out.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
 
 
 def test_console_entry_point_runs():
@@ -267,11 +304,19 @@ def test_console_entry_point_runs():
     assert "2.2882456" in proc.stdout
 
 
-def test_comparison_row_enforces_domination():
-    with pytest.raises(ValueError):
-        cli.ComparisonRow(x1=0.3, x2=0.3, phi=0.0, inv_E=2.0, kr=1.0, baran=2.0, quotient=0.5)
-    with pytest.raises(ValueError):
-        cli.ComparisonRow(x1=0.3, x2=0.3, phi=0.0, inv_E=2.0, kr=4.0, baran=2.5, quotient=2.0)
+def test_check_domination_rejects_bad_rows():
+    # the two rows the former row class rejected, each after a good row
+    inv_E = np.array([3.0, 2.0])
+    with pytest.raises(ValueError, match="bound domination violated: quotient 0.5"):
+        cli.check_domination(inv_E, np.array([3.0, 2.0]), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="ellipse and pluripotential bounds disagree"):
+        cli.check_domination(inv_E, np.array([3.0, 2.5]), np.array([1.0, 2.0]))
+    # the thresholds, 1e-9 on the quotient and 1e-12 relative on 1/E - D, to a factor of 2
+    cli.check_domination(inv_E, inv_E * (1.0 + 0.5e-12), np.array([1.0, 1.0 - 0.5e-9]))
+    with pytest.raises(ValueError, match="domination"):
+        cli.check_domination(inv_E, inv_E, np.array([1.0, 1.0 - 2e-9]))
+    with pytest.raises(ValueError, match="disagree"):
+        cli.check_domination(inv_E, inv_E * (1.0 + 2e-12), np.array([1.0, 1.0]))
 
 
 def test_constant_sweep_result_enforces_ceilings():
@@ -279,6 +324,34 @@ def test_constant_sweep_result_enforces_ceilings():
         cli.ConstantSweepResult(sup_ratio_alpha=0.9, sup_ratio_alpha2=1.0, grid_resolution=60)
     with pytest.raises(ValueError):
         cli.ConstantSweepResult(sup_ratio_alpha=0.8, sup_ratio_alpha2=1.2, grid_resolution=60)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--margin", "1"],
+        ["compare", "--margin", "nan"],
+        ["constants", "--grid", "55", "--margin", "1"],
+        ["constants", "--grid", "55", "--margin", "nan"],
+        ["compare", "--grid", "5", "--dirs", "4", "--margin", "-0.5"],
+    ],
+)
+def test_margin_without_interior_points_is_exit_3(capsys, argv):
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: margin ")
+
+
+def test_negative_exponent_positional_is_a_number(tri_file, capsys):
+    assert cli.main(["extremal", "0.5", "-0.001", "0.25", "0"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["extremal", "0.5", "-1e-3", "0.25", "0"]) == 0
+    assert capsys.readouterr().out == plain
+    # each reaches the code: a point with x2 < 0 is outside, a negative phi is a direction
+    assert cli.main(["alpha", tri_file, "0.3", "-1e-3"]) == 3
+    assert cli.main(["ellipse", tri_file, "0.3", "0.2", "-1e-3"]) == 0
+    assert cli.main(["kernel", "0.3", "-2e-1"]) == 3
 
 
 def test_interior_grid_respects_margin():

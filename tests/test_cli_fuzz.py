@@ -18,8 +18,8 @@ from bernstein_bounds import cli
 
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
-# positive extremes get a branch of their own: a leading "-" makes argparse
-# read a number like "-1e200" as an option, so they reach the code more often
+# ordinary values, positive extremes, and signed extremes with non-finite
+# values; of these argparse reads only "-inf" as an option
 numbers = st.one_of(
     st.floats(min_value=-2.0, max_value=2.0).map(repr),
     st.sampled_from(["1e200", "1e308", "1e-200"]),
@@ -83,7 +83,7 @@ argvs = st.one_of(
     ),
     command(
         st.just(["extremal"]),
-        st.sampled_from([["--"], []]),  # argparse reads "-1e200" as an option unless after "--"
+        st.sampled_from([["--"], []]),  # after "--" even "-inf" is a positional
         st.lists(point, min_size=1, max_size=3).map(lambda pairs: sum(pairs, [])),  # re im pairs
         st.lists(numbers, max_size=1),  # sometimes an odd count
     ),
@@ -125,6 +125,13 @@ def test_fuzz_strategy_reaches_every_subcommand():
 @given(argv=argvs)
 @example(argv=["extremal", "1e200", "0", "0", "0"])  # w * w overflowed: printed inf
 @example(argv=["extremal", "1e308", "0", "0", "0"])  # w itself is not finite
+@example(argv=["extremal", "0.5", "-1e-3", "0.25", "0"])  # a signed exponent is a number
+@example(argv=["alpha", "tri.txt", "0.3", "-1e-3"])
+@example(argv=["ellipse", "tri.txt", "0.3", "0.2", "-1e-3"])
+@example(argv=["kernel", "0.3", "-2e-1"])
+@example(argv=["compare", "--margin", "nan"])  # no interior point: the margin is named
+@example(argv=["constants", "--grid", "55", "--margin", "1"])
+@example(argv=["compare", "--grid", "5", "--dirs", "4", "--margin", "-0.5"])
 def test_argv_fuzz_exits_cleanly(scratch, argv):
     code, out, err = run([str(scratch / a) if a in FILES else a for a in argv])
     assert code in {0, 2, 3, 4}, (code, err)
