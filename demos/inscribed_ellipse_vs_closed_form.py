@@ -36,7 +36,8 @@ for _ in range(8):
 print()
 print(f"worst relative error: {worst:.3e}")
 
-# Minimizing over directions recovers the direction-free constant E(x);
-# at the centroid it equals 1/3 exactly.
+# The direction-free constant E(x), the minimum over directions, comes from
+# the dual of the same LP: a closed form per triple of edges, no search over
+# directions.  At the centroid it equals 1/3 exactly.
 e_min = el.best_ellipse_all_dirs(tri, np.array([1 / 3, 1 / 3]))
 print(f"min over directions at the centroid: {e_min:.10f}  (exact value 1/3)")

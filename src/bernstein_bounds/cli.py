@@ -2,7 +2,7 @@
 
 `compare` holds its sweep as one float table, a row per (point, direction)
 with the columns COMPARE_COLUMNS, and writes it as %.12g CSV or as JSON.
-Negative float arguments may carry an exponent, as in -1e-3.
+Negative float arguments may carry an exponent, as in -1e-3, or be -inf or -nan.
 
 Exit codes: 0 ok, 2 parse failure, 3 domain error (non-interior point and
 friends), 4 unwritable output.  All randomness is pinned by --seed and output
@@ -34,9 +34,11 @@ _EQUALITY_ANGLES = np.array([0.0, math.pi / 2.0, 3.0 * math.pi / 4.0])
 
 COMPARE_COLUMNS = ("x1", "x2", "phi", "inv_E", "kr", "baran", "quotient")
 
-# argparse takes only forms like -1 and -0.5 for numbers, so -1e-3 would be an option;
-# no option of this CLI looks like a number
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# argparse takes only forms like -1 and -0.5 for numbers, so -1e-3 and -inf would be
+# options; no option of this CLI looks like a number
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 def check_domination(inv_E, baran, quotient) -> None:

@@ -12,6 +12,13 @@ sqrt(t*) for the exact LP "maximize t", solved by vertex enumeration over a
 working set of edges: the edge the current optimum violates most joins the
 set, and the new optimum is the best vertex on its plane.  A box keeps each
 relaxation bounded: x - 2a lies in K, so |a| <= diam(K), and t <= diam(K)^2.
+
+The direction-free constant E(K, x) = min over y of b(y) has an exact finite
+form by LP duality: t*(y) = min of sum mu_e s_e^2 / y^T (sum mu_e n_e n_e^T) y
+over the extreme rays mu >= 0 of sum mu_e s_e n_e = 0, which are edge triples.
+Feasibility does not depend on y, so E^2 is the minimum over feasible triples
+of sum mu_e s_e^2 / lambda_max(sum mu_e n_e n_e^T), with no search over y.
+best_ellipse_all_dirs keeps an n_dirs parameter that it does not use.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ _BOX_G = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0
 _BOX_H = np.array([1.0, 1, 1, 1, 1, 0])
 _ROW_TOL = 1e-12  # rounding allowed on a row in those units
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -130,34 +136,42 @@ def best_ellipse(K: ConvexPolygon, x, y) -> EllipseSolveReport:
     return EllipseSolveReport(w.b, w, len(h) - len(_BOX_H), residual, active)
 
 
-def _golden_min(f, a, b, tol=1e-12):
-    """Golden-section minimum value of f on [a, b]."""
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    return min(f1, f2)
-
-
 def best_ellipse_all_dirs(K: ConvexPolygon, x, n_dirs: int = 256) -> float:
-    """Directional minimum of best_ellipse over axis angles in [0, pi).
+    """Direction-free constant E(K, x): the minimum of best_ellipse over unit y.
 
-    Uniform angular sweep plus golden-section refinement around the best cell;
-    ties go to the smaller angle.
+    By LP duality t*(y) is the minimum of sum mu_e s_e^2 / y^T (sum mu_e n_e n_e^T) y
+    over mu >= 0 with sum mu_e s_e n_e = 0.  That cone's extreme rays are edge
+    triples i < j < k with mu the cross products (r_j x r_k, r_k x r_i, r_i x r_j)
+    of their rows r_e = s_e n_e.  The edges run counter-clockwise, so a triple
+    whose normals positively span the plane has mu >= 0 in this order, and a
+    triple with mixed signs is infeasible.  Feasibility does not depend on y, so
+    E^2 is the minimum over feasible triples of sum mu_e s_e^2 / lambda_max(M),
+    M = sum mu_e n_e n_e^T, in closed form.  Triples are taken one first edge at
+    a time, so memory stays O(m^2).
+
+    n_dirs is unused; it is kept so that callers passing it keep working.
     """
     x = require_interior(K, x)
-    thetas = np.arange(n_dirs) * (math.pi / n_dirs)
-    f = lambda t: best_ellipse(K, x, (math.cos(t), math.sin(t))).best_b
-    vals = np.array([f(t) for t in thetas])
-    k = int(np.argmin(vals))
-    h = math.pi / n_dirs
-    refined = _golden_min(f, thetas[k] - h, thetas[k] + h, tol=1e-10)
-    return min(float(vals[k]), refined)
+    n, c = K.edge_normals()
+    s = c - n @ x
+    r = s[:, None] * n
+    X = np.outer(r[:, 0], r[:, 1])
+    X = X - X.T  # X[j, k] = r_j x r_k
+    # per edge: the entries n1^2, n1 n2, n2^2 of n n^T, and s^2
+    q = np.column_stack([n[:, 0] ** 2, n[:, 0] * n[:, 1], n[:, 1] ** 2, s * s])
+    idx = np.arange(len(s))
+    J, L = np.nonzero(idx[:, None] < idx)  # every pair j < k, in order of j
+    best = math.inf
+    for i in idx[:-2]:
+        first = np.searchsorted(J, i, side="right")
+        j, k = J[first:], L[first:]
+        mu = np.column_stack([X[j, k], X[k, i], X[i, j]])
+        top = mu.max(axis=1)
+        # antiparallel edges give exact zeros that rounding can push below 0, and
+        # three edges on one line (collinear vertices) give mu = 0
+        ok = (mu.min(axis=1) >= -1e-12 * top) & (top > 0.0)
+        mu = np.maximum(mu[ok], 0.0)
+        A, B, C, S = (mu[:, :1] * q[i] + mu[:, 1:2] * q[j[ok]] + mu[:, 2:] * q[k[ok]]).T
+        lam_max = 0.5 * (A + C) + np.hypot(0.5 * (A - C), B)
+        best = min(best, float(np.min(S / lam_max, initial=math.inf)))
+    return math.sqrt(best)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 # clip_halfplane is unused here; perfbench/tracing.py rebinds kernels.clip_halfplane
 from .geometry import ConvexPolygon, clip_halfplane  # noqa: F401
@@ -136,6 +135,8 @@ def cloud_area(x, bound=None) -> float:
     Polar integral of r(theta)^2 over [0, pi); the default bound family is
     kr_bound_dir(x, .), and an arbitrary theta -> r function can be injected.
     """
+    from scipy.integrate import quad
+
     if bound is None:
         x = check_interior(x)
         bound = lambda t: kr_bound_dir(x, t)

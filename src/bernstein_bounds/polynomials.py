@@ -19,7 +19,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import numpy.polynomial.polynomial as npp
-from scipy.optimize import linprog
 
 from .simplex import baran_derivative, check_interior
 
@@ -408,6 +407,13 @@ def bernstein_szego_1d(n: int, x: float, a: float, b: float):
         s = math.sin(n * phi)
         ratio = abs(n * s / math.sin(phi)) * (2.0 / (b - a)) / abs(s)
     return ratio, bound
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: only _lp_ratio needs scipy."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _degenerate_sharpness(n, x, a, b) -> float:

@@ -191,6 +191,10 @@ def test_non_finite_input_is_exit_3(tri_file, capsys, argv):
         ["kernel", "nan", "0.25", "--dirs", "8"],
         ["extremal", "0.2", "0", "0.3", "inf"],
         ["kernel", "1e308", "1e308", "--dirs", "8"],  # x1 + x2 overflows
+        ["extremal", "0.5", "-inf", "0.25", "0"],  # a signed non-finite value is a number
+        ["extremal", "0.5", "-Infinity", "0.25", "0"],
+        ["kernel", "0.3", "-nan"],
+        ["kernel", "0.3", "-NaN", "--dirs", "8"],
     ],
 )
 def test_non_finite_point_is_exit_3(capsys, argv):
@@ -290,18 +294,44 @@ def test_compare_json_bytes_match_row_dicts(tmp_path):
     assert out.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
 
 
-def test_console_entry_point_runs():
+def _child_env():
     # the child finds the package where this process imported it from
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bernstein_bounds.cli", "constants", "--grid", "55"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "2.2882456" in proc.stdout
+
+
+LEAN_IMPORT = """
+import json, sys
+import bernstein_bounds, bernstein_bounds.cli
+from bernstein_bounds import kernels, polynomials
+heavy = ("scipy.optimize", "scipy.integrate")
+at_import = [m for m in heavy if m in sys.modules]
+polynomials.bernstein_szego_1d(3, 0.5, -1.0, 1.0)  # cos(pi/3): the LP search
+kernels.cloud_area([1 / 3, 1 / 3])
+print(json.dumps([at_import, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_scipy_loads_only_where_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_use = json.loads(proc.stdout.splitlines()[-1])
+    assert at_import == []
+    assert after_use == ["scipy.optimize", "scipy.integrate"]
 
 
 def test_check_domination_rejects_bad_rows():
@@ -334,6 +364,9 @@ def test_constant_sweep_result_enforces_ceilings():
         ["constants", "--grid", "55", "--margin", "1"],
         ["constants", "--grid", "55", "--margin", "nan"],
         ["compare", "--grid", "5", "--dirs", "4", "--margin", "-0.5"],
+        ["compare", "--margin", "-inf"],
+        ["constants", "--grid", "55", "--margin", "-INF"],
+        ["compare", "--margin", "-nan"],
     ],
 )
 def test_margin_without_interior_points_is_exit_3(capsys, argv):

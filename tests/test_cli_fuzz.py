@@ -19,11 +19,11 @@ from bernstein_bounds import cli
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 # ordinary values, positive extremes, and signed extremes with non-finite
-# values; of these argparse reads only "-inf" as an option
+# values; every one of them, "-inf" too, is read as a number
 numbers = st.one_of(
     st.floats(min_value=-2.0, max_value=2.0).map(repr),
     st.sampled_from(["1e200", "1e308", "1e-200"]),
-    st.sampled_from(["0", "-1e-200", "-1e200", "-1e308", "nan", "inf", "-inf"]),
+    st.sampled_from(["0", "-1e-200", "-1e200", "-1e308", "nan", "-nan", "inf", "-inf"]),
 )
 
 BODIES = {
@@ -83,7 +83,7 @@ argvs = st.one_of(
     ),
     command(
         st.just(["extremal"]),
-        st.sampled_from([["--"], []]),  # after "--" even "-inf" is a positional
+        st.sampled_from([["--"], []]),  # "--" ends the options: the same numbers follow
         st.lists(point, min_size=1, max_size=3).map(lambda pairs: sum(pairs, [])),  # re im pairs
         st.lists(numbers, max_size=1),  # sometimes an odd count
     ),
@@ -132,6 +132,9 @@ def test_fuzz_strategy_reaches_every_subcommand():
 @example(argv=["compare", "--margin", "nan"])  # no interior point: the margin is named
 @example(argv=["constants", "--grid", "55", "--margin", "1"])
 @example(argv=["compare", "--grid", "5", "--dirs", "4", "--margin", "-0.5"])
+@example(argv=["extremal", "0.5", "-inf", "0.25", "0"])  # -inf and -nan are numbers
+@example(argv=["compare", "--margin", "-inf"])
+@example(argv=["kernel", "0.3", "-nan"])
 def test_argv_fuzz_exits_cleanly(scratch, argv):
     code, out, err = run([str(scratch / a) if a in FILES else a for a in argv])
     assert code in {0, 2, 3, 4}, (code, err)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -96,9 +97,105 @@ def test_reflection_equivariance():
 
 
 def test_all_dirs_centroid_and_offcenter():
-    assert el.best_ellipse_all_dirs(TRI, M, n_dirs=64) == pytest.approx(1 / 3, rel=1e-12)
-    got = el.best_ellipse_all_dirs(TRI, np.array([0.1, 0.1]), n_dirs=64)
-    assert got == pytest.approx(float(sx.ellipse_constant(np.array([0.1, 0.1]))), rel=1e-12)
+    got = el.best_ellipse_all_dirs(TRI, M)
+    assert isinstance(got, float)
+    assert got == pytest.approx(1 / 3, rel=1e-12)
+    # collinear vertices split an edge into parallel rows that make no triple
+    split = geo.ConvexPolygon(np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    for x in ([0.1, 0.1], [0.2, 0.5]):
+        want = float(sx.ellipse_constant(np.array(x)))
+        assert el.best_ellipse_all_dirs(TRI, np.array(x)) == pytest.approx(want, rel=1e-12)
+        assert el.best_ellipse_all_dirs(split, np.array(x)) == pytest.approx(want, rel=1e-12)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _primal(K, x, theta):
+    return el.best_ellipse(K, x, (math.cos(theta), math.sin(theta))).best_b
+
+
+def _sweep_and_golden(K, x, n_dirs=256, tol=1e-10):
+    """Primal reference for the all-directions minimum: best_ellipse on a uniform
+    angular sweep, then a golden-section search on the two cells around its best angle."""
+    thetas = np.arange(n_dirs) * (math.pi / n_dirs)
+    vals = [_primal(K, x, t) for t in thetas]
+    k = int(np.argmin(vals))
+    a, b = thetas[k] - math.pi / n_dirs, thetas[k] + math.pi / n_dirs
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2 = _primal(K, x, x1), _primal(K, x, x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = _primal(K, x, x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = _primal(K, x, x2)
+    return min(vals[k], f1, f2)
+
+
+def _random_polygon(rng, m):
+    """Hull of m points on an ellipse at random angles, under a random shear."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+    A = np.array([[1.0, rng.uniform(-1.0, 1.0)], [0.0, rng.uniform(0.3, 2.0)]])
+    return geo.ConvexPolygon(np.column_stack([np.cos(angles), np.sin(angles)]) @ A.T)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_all_dirs_equals_the_primal_sweep_minimum(m):
+    rng = np.random.default_rng(100 + m)
+    K = _random_polygon(rng, m)
+    x = rng.dirichlet(np.ones(len(K.vertices))) @ K.vertices
+    got = el.best_ellipse_all_dirs(K, x)
+    assert got == pytest.approx(_sweep_and_golden(K, x), rel=1e-12)
+    if m in (3, 5, 8, 12):  # no direction of a dense sweep does better
+        dense = min(_primal(K, x, t) for t in np.arange(2001) * (math.pi / 2001))
+        assert got <= dense * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "K,x",
+    [
+        (CSQUARE, [0.3, -0.55]),
+        (geo.ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.3], [2.7, 1.5], [0.7, 1.2]])), [1.9, 0.6]),
+    ],
+    ids=["off-centre square", "parallelogram"],
+)
+def test_all_dirs_with_antiparallel_edges(K, x):
+    x = np.array(x)
+    assert el.best_ellipse_all_dirs(K, x) == pytest.approx(_sweep_and_golden(K, x), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.05, max_value=0.9),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_all_dirs_on_affine_triangles_property(u, v, rot1, rot2, s1, s2, c1, c2):
+    """min over y of |A y| E(x, y) = sqrt(lambda_min(A^T A, Q)), where the triangle's
+    E(x, y)^2 = 1 / y^T Q y with Q = diag(1/l1, 1/l2) + 11^T/l3 in barycentrics l of x."""
+
+    def rotation(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    A = rotation(rot1) @ np.diag([s1, s2]) @ rotation(rot2)
+    x = np.array([u, v * (1.0 - u - 0.04) + 0.02])
+    if np.linalg.det(A) < 0.0:  # keep the image counter-clockwise
+        A, x = A[:, ::-1], x[::-1].copy()
+    c = np.array([c1, c2])
+    lam = np.array([x[0], x[1], 1.0 - x[0] - x[1]])
+    Q = np.diag(1.0 / lam[:2]) + 1.0 / lam[2]
+    want = math.sqrt(float(np.min(np.linalg.eigvals(np.linalg.solve(Q, A.T @ A)).real)))
+    got = el.best_ellipse_all_dirs(geo.ConvexPolygon(TRI.vertices @ A.T + c), A @ x + c)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_best_ellipse_input_guards():
@@ -194,3 +291,15 @@ def test_many_edges_with_a_known_answer():
     assert rep.best_b == pytest.approx(float(sx.ellipse_constant_dir(x, y)), rel=1e-12)
     assert rep.iterations <= 10
     assert len(rep.active_edges) == 3
+
+
+def test_all_dirs_on_many_edges_is_fast():
+    """1.5M edge triples of the filleted triangle, taken one first edge at a time."""
+    x = np.array([0.3, 0.25])
+    K = _filleted_triangle(0.03, 70)
+    start = time.perf_counter()
+    got = el.best_ellipse_all_dirs(K, x)
+    assert time.perf_counter() - start < 5.0
+    # K lies in the triangle, so no direction does better there than on the triangle
+    assert 0.0 < got <= float(sx.ellipse_constant(x)) * (1.0 + 1e-12)
+    assert got <= el.best_ellipse(K, x, np.array([math.cos(0.2), math.sin(0.2)])).best_b
