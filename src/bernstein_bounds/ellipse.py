@@ -121,12 +121,13 @@ def best_ellipse(K: ConvexPolygon, x, y) -> EllipseSolveReport:
         if violation[e] <= _ROW_TOL:
             break
         # the new optimum lies on edge e's plane: Cramer's rule with each pair of
-        # working rows; a singular triple gives inf or nan and fails feasibility
+        # working rows; a singular or nearly singular triple gives inf or nan and
+        # fails feasibility
         g, he = G_edges[e], s[e] * s[e]
         i, j = np.nonzero(np.arange(len(h))[:, None] < np.arange(len(h)))
         C, cij = _cross(G, g), _cross(G[i], G[j])
         G, h = np.vstack([G, g]), np.append(h, he)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             Z = (he * cij + h[i, None] * C[j] - h[j, None] * C[i]) / (cij @ g)[:, None]
             Z = Z[np.all(Z @ G.T - h <= _ROW_TOL, axis=1)]
         z = Z[np.argmax(Z[:, 2])]

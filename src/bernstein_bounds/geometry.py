@@ -25,7 +25,8 @@ class ConvexPolygon:
     """Convex polygon given by CCW vertices (m, 2), m >= 3.
 
     Consecutive duplicate vertices are rejected; collinear triples are allowed
-    (cross products of consecutive edges must be >= 0 up to rounding).  The
+    (the turn e_i x e_(i+1) at each vertex must be >= -1e-9 |e_i| |e_(i+1)|,
+    so the test does not depend on the polygon's size or position).  The
     vertices are a read-only copy, so the cached edge lines and diameter
     cannot go stale.
     """
@@ -42,10 +43,11 @@ class ConvexPolygon:
             raise ValueError("vertices must be finite")
         scale = float(np.max(np.abs(v))) + 1.0
         e = np.roll(v, -1, axis=0) - v
-        if np.any(np.hypot(e[:, 0], e[:, 1]) <= 1e-14 * scale):
+        length = np.hypot(e[:, 0], e[:, 1])
+        if np.any(length <= 1e-14 * scale):
             raise ValueError("two consecutive vertices coincide")
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        if np.any(cross < -1e-9 * scale * scale):
+        if np.any(cross < -1e-9 * length * np.roll(length, -1)):
             raise ValueError("vertices are not in convex CCW order")
         if _shoelace(v) <= 0.0:
             raise ValueError("polygon has nonpositive area; is it CW?")
@@ -98,10 +100,11 @@ def interior_slack(K: ConvexPolygon, x) -> float:
 
 
 def require_interior(K: ConvexPolygon, x, tol: float = _BOUNDARY_TOL) -> np.ndarray:
+    """x as a float array, if its slack exceeds tol times the diameter of K."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("point must be finite")
-    if interior_slack(K, x) <= tol:
+    if interior_slack(K, x) <= tol * K.diameter:
         raise ValueError("point is not strictly interior to the polygon")
     return x
 

@@ -4,7 +4,8 @@ A family of bounds r(theta) > 0 over directions y(theta) has two associated
 sets: the fleecy cloud {t * y : |t| <= r(y)} (generally nonconvex) and the
 kernel, the intersection of the slabs |<v, y(theta)>| <= r(theta).  For the
 bound family coming from the pluripotential derivative the kernel is an exact
-ellipse with closed-form axes; for the chord-and-alpha family it is a polygon.
+ellipse with closed-form axes; for the chord-and-alpha family it is a polygon,
+and on the simplex that family's cloud has a closed-form area.
 
 A sampled table of N bounds gives 2N half-planes whose normals are already
 sorted by angle.  ``kernel_intersect`` finds the binding ones as the convex
@@ -21,7 +22,9 @@ import numpy as np
 
 # clip_halfplane is unused here; perfbench/tracing.py rebinds kernels.clip_halfplane
 from .geometry import ConvexPolygon, clip_halfplane  # noqa: F401
-from .simplex import check_interior, kr_bound_dir
+from .simplex import alpha_simplex, check_interior
+# kr_bound_dir is unused here; perfbench/tracing.py rebinds kernels.kr_bound_dir
+from .simplex import kr_bound_dir  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -129,27 +132,17 @@ def _dedupe_loop(v: np.ndarray) -> np.ndarray:
     return v[keep]
 
 
-def cloud_area(x, bound=None) -> float:
+def cloud_area(x):
     """Area of the fleecy cloud swept by the chord-and-alpha bound family at x.
 
-    Polar integral of r(theta)^2 over [0, pi); the default bound family is
-    kr_bound_dir(x, .), and an arbitrary theta -> r function can be injected.
+    The cloud's area is the polar integral of r(theta)^2 = 4 / (tau(theta)^2
+    (1 - alpha)) over [0, pi).  On the simplex 1/tau is cos + sin on [0, pi/2],
+    sin on [pi/2, 3 pi/4] and -cos on [3 pi/4, pi), whose squares integrate to
+    pi/2 + 1, pi/8 + 1/4 and pi/8 + 1/4: so the area is 4 (3 pi/4 + 3/2) /
+    (1 - alpha) = (6 + 3 pi) / (1 - alpha), and 9 + 9 pi/2 at the centroid.
     """
-    from scipy.integrate import quad
-
-    if bound is None:
-        x = check_interior(x)
-        bound = lambda t: kr_bound_dir(x, t)
-    val, _ = quad(
-        lambda t: float(bound(t)) ** 2,
-        0.0,
-        math.pi,
-        points=[math.pi / 2.0, 3.0 * math.pi / 4.0],
-        limit=200,
-        epsabs=1e-10,
-        epsrel=1e-10,
-    )
-    return val
+    out = (6.0 + 3.0 * math.pi) / (1.0 - alpha_simplex(x))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

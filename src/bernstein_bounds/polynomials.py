@@ -52,19 +52,13 @@ class TotalDegreePolynomial:
 
     @classmethod
     def from_square(cls, degree: int, square: np.ndarray) -> "TotalDegreePolynomial":
-        flat = []
-        for i in range(degree + 1):
-            flat.extend(square[i, : degree + 1 - i])
-        return cls(degree=degree, coeffs=np.array(flat))
+        n1 = degree + 1
+        return cls(degree=degree, coeffs=square[:n1, :n1][_triangle(degree)])
 
     @cached_property
     def square(self) -> np.ndarray:
         c = np.zeros((self.degree + 1, self.degree + 1))
-        pos = 0
-        for i in range(self.degree + 1):
-            row = self.degree + 1 - i
-            c[i, :row] = self.coeffs[pos : pos + row]
-            pos += row
+        c[_triangle(self.degree)] = self.coeffs
         return c
 
     @cached_property
@@ -85,6 +79,12 @@ class TotalDegreePolynomial:
         for s, c in enumerate(parts):
             block[: c.shape[0], s, : c.shape[1]] = c
         return block.reshape(n1, 5 * n1)
+
+
+def _triangle(n: int) -> np.ndarray:
+    """Mask of i + j <= n in the (n+1) x (n+1) square; row-major, it lists the flat order."""
+    k = np.arange(n + 1)
+    return k[:, None] + k <= n
 
 
 def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
@@ -119,12 +119,10 @@ def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
 
 @dataclass(frozen=True)
 class SupNormCertificate:
-    """Certified lower bound on the sup-norm over the simplex."""
+    """Sup-norm of p over the simplex from below: value is |p| at a point of the simplex."""
 
     value: float
     grid_resolution: int
-    refined: bool
-    lower_bound: bool = True
 
 
 @lru_cache(maxsize=32)
@@ -228,7 +226,7 @@ def sup_norm_simplex(p: TotalDegreePolynomial, grid_resolution=None) -> SupNormC
     cand = np.concatenate([_edge_candidates(p), _interior_polish(p, starts)])
     refined = np.abs(npp.polyval2d(cand[:, 0], cand[:, 1], p.square))
     return SupNormCertificate(value=float(max(vals.max(), refined.max(initial=0.0))),
-                              grid_resolution=m, refined=True)
+                              grid_resolution=m)
 
 
 def bernstein_ratio(p: TotalDegreePolynomial, x, y, certificate=None) -> float:

@@ -30,6 +30,13 @@ def test_alpha_parse_failure_is_exit_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_alpha_non_convex_sliver_is_exit_2(tmp_path, capsys):
+    sliver = tmp_path / "sliver.txt"
+    sliver.write_text("0 0\n1 0\n1 1e-8\n0.5 8e-9\n0 1e-8\n")
+    assert cli.main(["alpha", str(sliver), "0.25", "4e-9"]) == 2
+    assert "not in convex CCW order" in capsys.readouterr().err
+
+
 def test_alpha_outside_point_is_exit_3(tri_file, capsys):
     assert cli.main(["alpha", tri_file, "0.9", "0.9"]) == 3
     assert "domain error" in capsys.readouterr().err
@@ -317,10 +324,10 @@ import json, sys
 import bernstein_bounds, bernstein_bounds.cli
 from bernstein_bounds import kernels, polynomials
 heavy = ("scipy.optimize", "scipy.integrate")
-at_import = [m for m in heavy if m in sys.modules]
-polynomials.bernstein_szego_1d(3, 0.5, -1.0, 1.0)  # cos(pi/3): the LP search
 kernels.cloud_area([1 / 3, 1 / 3])
-print(json.dumps([at_import, [m for m in heavy if m in sys.modules]]))
+before_lp = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+polynomials.bernstein_szego_1d(3, 0.5, -1.0, 1.0)  # cos(pi/3): the LP search
+print(json.dumps([before_lp, [m for m in heavy if m in sys.modules]]))
 """
 
 
@@ -329,9 +336,9 @@ def test_scipy_loads_only_where_it_runs():
         [sys.executable, "-c", LEAN_IMPORT], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    at_import, after_use = json.loads(proc.stdout.splitlines()[-1])
-    assert at_import == []
-    assert after_use == ["scipy.optimize", "scipy.integrate"]
+    before_lp, after_lp = json.loads(proc.stdout.splitlines()[-1])
+    assert before_lp == []
+    assert after_lp == ["scipy.optimize"]
 
 
 def test_check_domination_rejects_bad_rows():

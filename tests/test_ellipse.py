@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernstein_bounds import ellipse as el
@@ -217,6 +217,7 @@ def test_best_ellipse_input_guards():
     st.floats(min_value=0.05, max_value=0.9),
     st.floats(min_value=0.0, max_value=math.pi),
 )
+@example(u=0.5, v=0.5, phi=1.4038041234422553e-161)  # a Cramer step overflowed to inf
 def test_solver_agrees_with_closed_form_property(u, v, phi):
     x1 = u
     x2 = v * (1.0 - x1 - 0.02) + 0.01

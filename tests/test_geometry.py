@@ -37,6 +37,17 @@ def test_polygon_rejects_reflex_vertex():
         geo.ConvexPolygon(bad)
 
 
+def test_polygon_rejects_reflex_vertex_of_a_sliver():
+    # a 20 % dent in a 1e-8-wide sliver: the cross product at (0.5, 8e-9) is
+    # -2e-9, which is -8e-9 times the product of its two edge lengths, so the
+    # vertex is reflex well beyond rounding, though tiny next to the polygon's size
+    sliver = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-8], [0.5, 8e-9], [0.0, 1e-8]])
+    with pytest.raises(ValueError, match="not in convex CCW order"):
+        geo.ConvexPolygon(sliver)
+    sliver[3, 1] = 1e-8  # collinear instead of reflex
+    assert geo.ConvexPolygon(sliver).area == pytest.approx(1e-8, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "u,expected",
     [
@@ -138,6 +149,15 @@ def test_require_interior_rejects_boundary_and_outside():
         geo.require_interior(TRI, np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         geo.require_interior(TRI, np.array([math.nan, 0.2]))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_require_interior_verdict_is_scale_invariant(s):
+    K = geo.ConvexPolygon(s * TRI.vertices)
+    with pytest.raises(ValueError):
+        geo.require_interior(K, s * np.array([0.25, 3e-13]))  # slack 3e-13 s
+    inside = s * np.array([0.25, 1e-10])
+    assert np.array_equal(geo.require_interior(K, inside), inside)
 
 
 def test_clip_halfplane_square():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from bernstein_bounds import geometry as geo
 from bernstein_bounds import kernels as kn
@@ -171,15 +172,45 @@ def test_kernel_is_inside_the_cloud_bounds():
     assert np.max(proj - tab.r[None, :]) <= 1e-9
 
 
-def test_cloud_area_constant_bound():
-    assert kn.cloud_area(None, bound=lambda t: 1.0) == pytest.approx(math.pi, rel=1e-12)
-    assert kn.cloud_area(None, bound=lambda t: 2.0) == pytest.approx(4 * math.pi, rel=1e-12)
+def quad_cloud_area(x):
+    """Adaptive polar quadrature of kr_bound_dir(x, theta)^2, split where tau changes branch."""
+    val, _ = quad(
+        lambda t: float(sx.kr_bound_dir(x, t)) ** 2,
+        0.0,
+        math.pi,
+        points=[math.pi / 2.0, 3.0 * math.pi / 4.0],
+        limit=200,
+        epsabs=1e-10,
+        epsrel=1e-10,
+    )
+    return val
+
+
+def seeded_interior_points(n, seed=0, margin=1e-3):
+    lam = np.random.default_rng(seed).dirichlet(np.ones(3), size=4 * n)
+    return lam[np.min(lam, axis=1) > margin][:n, :2]
 
 
 def test_cloud_area_centroid_closed_form():
     # three arcs of circles through the origin; the polar integral evaluates
     # to 9 + 9 pi / 2
     assert kn.cloud_area(M) == pytest.approx(9.0 + 4.5 * math.pi, rel=1e-12)
+
+
+def test_cloud_area_matches_polar_quadrature():
+    pts = seeded_interior_points(60)
+    assert len(pts) == 60
+    for x in pts:
+        assert kn.cloud_area(x) == pytest.approx(quad_cloud_area(x), rel=1e-12)
+
+
+def test_cloud_area_of_a_point_array():
+    pts = seeded_interior_points(12, seed=1).reshape(3, 4, 2)
+    areas = kn.cloud_area(pts)
+    assert areas.shape == (3, 4)
+    assert isinstance(kn.cloud_area(pts[0, 0]), float)
+    for idx in np.ndindex(3, 4):
+        assert areas[idx] == kn.cloud_area(pts[idx])
 
 
 def test_cloud_area_requires_interior_when_default_family():
