@@ -24,11 +24,11 @@ class PolygonFormatError(ValueError):
 class ConvexPolygon:
     """Convex polygon given by CCW vertices (m, 2), m >= 3.
 
-    Consecutive duplicate vertices are rejected; collinear triples are allowed
-    (the turn e_i x e_(i+1) at each vertex must be >= -1e-9 |e_i| |e_(i+1)|,
-    so the test does not depend on the polygon's size or position).  The
-    vertices are a read-only copy, so the cached edge lines and diameter
-    cannot go stale.
+    Consecutive vertices within 1e-14 max|v| (the coordinates' rounding) are
+    rejected as coincident; collinear triples are allowed (the turn
+    e_i x e_(i+1) at each vertex must be >= -1e-9 |e_i| |e_(i+1)|, so the test
+    does not depend on the polygon's size or position).  The vertices are a
+    read-only copy, so the cached edge lines and diameter cannot go stale.
     """
 
     vertices: np.ndarray
@@ -41,10 +41,9 @@ class ConvexPolygon:
             raise ValueError("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
-        scale = float(np.max(np.abs(v))) + 1.0
         e = np.roll(v, -1, axis=0) - v
         length = np.hypot(e[:, 0], e[:, 1])
-        if np.any(length <= 1e-14 * scale):
+        if np.any(length <= 1e-14 * np.max(np.abs(v))):
             raise ValueError("two consecutive vertices coincide")
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
         if np.any(cross < -1e-9 * length * np.roll(length, -1)):
@@ -167,8 +166,8 @@ def maximal_chord(K: ConvexPolygon, v) -> float:
 
 
 def minkowski_gauge(K: ConvexPolygon, x) -> float:
-    """Gauge inf{t > 0 : x in t*K}; requires the origin strictly inside K."""
-    if interior_slack(K, np.zeros(2)) <= _BOUNDARY_TOL:
+    """Gauge inf{t > 0 : x in t*K}; the origin's slack must exceed 1e-12 diam K."""
+    if interior_slack(K, np.zeros(2)) <= _BOUNDARY_TOL * K.diameter:
         raise ValueError("gauge needs the origin strictly interior to K")
     x = np.asarray(x, dtype=float)
     r = np.linalg.norm(x)

@@ -9,8 +9,9 @@ and on the simplex that family's cloud has a closed-form area.
 
 A sampled table of N bounds gives 2N half-planes whose normals are already
 sorted by angle.  ``kernel_intersect`` finds the binding ones as the convex
-hull of their polar points in one O(N) stack pass (polar duality; the origin
-is strictly inside every half-plane) and intersects consecutive binding lines.
+hull of their polar points (polar duality; the origin is strictly inside every
+half-plane) by one vectorized turn test, then an O(N) stack pass if the
+survivors are not yet convex, and intersects consecutive binding lines.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class KernelRegion:
         v = self.polygon.vertices
         m = len(v)
         scale = max(1.0, float(np.max(np.abs(v))))
-        if m % 2 != 0 or not np.allclose(v, -np.roll(v, m // 2, axis=0), atol=1e-9 * scale):
+        if m % 2 != 0 or np.any(np.abs(v + np.roll(v, m // 2, axis=0)) > 1e-9 * scale):
             raise ValueError("kernel region is not centrally symmetric")
 
     @property
@@ -86,7 +87,7 @@ def kernel_intersect(table: DirectionalBoundTable) -> KernelRegion:
     Every c_k = r_k > 0, so the origin is strictly inside each half-plane and,
     by polar duality, a line bounds the intersection exactly when its polar
     point n_k / c_k is a vertex of the convex hull of all polar points.  Those
-    are found in one stack pass over the angle-sorted polar points; the
+    are found in the angle-sorted polar points (``_binding_lines``); the
     vertices are the intersections of consecutive binding lines, and the
     clusters left by (nearly) concurrent lines are merged.
     """
@@ -106,13 +107,25 @@ def kernel_intersect(table: DirectionalBoundTable) -> KernelRegion:
 def _binding_lines(p: np.ndarray) -> np.ndarray:
     """Ascending indices of the hull vertices of points p sorted by angle about 0.
 
-    The origin is interior to the hull, so the points form a star-shaped loop
-    and one stack pass from a known hull vertex (the farthest point) keeps
-    exactly the points where the loop turns strictly left.
+    The origin is interior to the hull, so consecutive points are less than pi
+    apart, and a point where the loop does not turn strictly left lies in the
+    triangle of the origin and its two neighbours: it is no hull vertex.  One
+    vectorized turn test drops all such points; if every survivor turns left
+    they are the hull, else one stack pass over them from a known hull vertex
+    (the farthest point) keeps exactly the strict left turns.  The test is not
+    iterated until the loop is convex: a round only peels the two ends of each
+    locally convex arc, so two tight antipodal lines take O(N) rounds.
     """
-    m = len(p)
-    s = int(np.argmax(np.sum(p * p, axis=1)))
-    xs, ys = np.roll(p, -s, axis=0).T.tolist()
+    left = _turns_left(p)
+    if left.all():
+        return np.arange(len(p))
+    keep = np.flatnonzero(left)
+    q = p[keep]
+    if _turns_left(q).all():
+        return keep
+    m = len(q)
+    s = int(np.argmax(np.sum(q * q, axis=1)))
+    xs, ys = np.roll(q, -s, axis=0).T.tolist()
     hull = [0]
     for k in range(1, m + 1):
         x, y = xs[k % m], ys[k % m]
@@ -122,7 +135,13 @@ def _binding_lines(p: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append(k)
-    return np.sort((np.array(hull[:-1]) + s) % m)
+    return keep[np.sort((np.array(hull[:-1]) + s) % m)]
+
+
+def _turns_left(p: np.ndarray) -> np.ndarray:
+    """Whether the closed loop p turns strictly left at each of its points."""
+    d = np.diff(np.concatenate([p[-1:], p, p[:1]]), axis=0)
+    return d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0] > 0.0
 
 
 def _dedupe_loop(v: np.ndarray) -> np.ndarray:

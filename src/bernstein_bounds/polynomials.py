@@ -376,33 +376,23 @@ def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):
 def bernstein_szego_1d(n: int, x: float, a: float, b: float):
     """(ratio, bound) for the interval inequality |p'| <= n sqrt(||p||^2-p^2) / sqrt((b-x)(x-a)).
 
-    The ratio is that of the Chebyshev transplant on [a, b] when x is not an
-    extreme point of it; near a or b, where 1 - T_n^2 also falls below 1e-9,
-    it is taken in trigonometric form, free of that cancellation.  At the
-    interior extreme points cos(k pi / n), 0 < k < n (where the ratio
-    degenerates to 0/0) an LP search over unit-norm polynomials takes over
-    and approaches the bound from below.
+    The ratio is that of the Chebyshev transplant on [a, b] in trigonometric
+    form, free of cancellation: with phi the angle of x from the nearer end,
+    1 - T_n^2 = sin^2(n phi) and |T_n'| = n |sin(n phi)| / sin(phi).  At the
+    interior extreme points cos(k pi / n), 0 < k < n (where sin(n phi) = 0 and
+    the ratio is 0/0) an LP search over unit-norm polynomials takes over and
+    approaches the bound from below.
     """
     if not a < x < b:
         raise ValueError("need a < x < b")
     if n < 1:
         raise ValueError("degree must be >= 1")
     bound = n / math.sqrt((b - x) * (x - a))
-    u = (2.0 * x - a - b) / (b - a)
-    en = np.zeros(n + 1)
-    en[n] = 1.0
-    tn = cheb.chebval(u, en)
-    one_minus = 1.0 - tn * tn
-    if one_minus > 1e-9:
-        dtn = cheb.chebval(u, cheb.chebder(en))
-        ratio = abs(dtn) * (2.0 / (b - a)) / math.sqrt(one_minus)
-    elif 0 < round(n * math.acos(min(1.0, max(-1.0, u))) / math.pi) < n:
+    phi = 2.0 * math.asin(math.sqrt(min(b - x, x - a) / (b - a)))
+    s = math.sin(n * phi)
+    if s * s <= 1e-9 and round(n * phi / math.pi) > 0:
         ratio = _degenerate_sharpness(n, x, a, b)
     else:
-        # near a or b, u = +-cos(phi) with phi small: 1 - T_n^2 = sin^2(n phi)
-        # and |T_n'| = n |sin(n phi)| / sin(phi), free of cancellation
-        phi = 2.0 * math.asin(math.sqrt(min(b - x, x - a) / (b - a)))
-        s = math.sin(n * phi)
         ratio = abs(n * s / math.sin(phi)) * (2.0 / (b - a)) / abs(s)
     return ratio, bound
 

@@ -160,6 +160,26 @@ def test_require_interior_verdict_is_scale_invariant(s):
     assert np.array_equal(geo.require_interior(K, inside), inside)
 
 
+@pytest.mark.parametrize("s", [1e-15, 1.0, 1e15])
+def test_polygon_and_gauge_verdicts_are_scale_invariant(s):
+    assert geo.ConvexPolygon(s * TRI.vertices).area == pytest.approx(0.5 * s * s, rel=1e-15)
+    short = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-15], [0.0, 1.0]])  # edge 1e-15 s
+    with pytest.raises(ValueError, match="coincide"):
+        geo.ConvexPolygon(s * short)
+    C = geo.ConvexPolygon(s * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    assert geo.minkowski_gauge(C, s * np.array([0.5, 0.25])) == pytest.approx(0.5, rel=1e-15)
+    edge = geo.ConvexPolygon(s * np.array([[-1.0, -1e-13], [1.0, -1e-13], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="origin strictly interior"):
+        geo.minkowski_gauge(edge, s * np.array([0.0, 0.5]))  # slack 1e-13 s
+
+
+def test_polygon_below_coordinate_rounding_is_rejected():
+    # a 1e-15 triangle at 1e3: its edges are below the coordinates' rounding
+    tiny = 1e3 + 1e-15 * TRI.vertices
+    with pytest.raises(ValueError, match="coincide"):
+        geo.ConvexPolygon(tiny)
+
+
 def test_clip_halfplane_square():
     out = geo.clip_halfplane(SQUARE.vertices, np.array([1.0, 0.0]), 0.5)
     clipped = geo.ConvexPolygon(out)

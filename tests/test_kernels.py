@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bernstein_bounds import cli
 from bernstein_bounds import geometry as geo
 from bernstein_bounds import kernels as kn
 from bernstein_bounds import simplex as sx
@@ -46,6 +47,42 @@ def clip_reference_area(tab):
         region = geo.clip_halfplane(geo.clip_halfplane(region, d, rk), -d, rk)
     keep = np.linalg.norm(region - np.roll(region, 1, axis=0), axis=1) > 1e-12 * R
     return geo.ConvexPolygon(region[keep]).area
+
+
+def reference_binding_lines(p):
+    """The stack-only hull pass: from the farthest point, keep the strict left turns."""
+    m = len(p)
+    s = int(np.argmax(np.sum(p * p, axis=1)))
+    xs, ys = np.roll(p, -s, axis=0).T.tolist()
+    hull = [0]
+    for k in range(1, m + 1):
+        x, y = xs[k % m], ys[k % m]
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if (xs[b] - xs[a]) * (y - ys[b]) - (ys[b] - ys[a]) * (x - xs[b]) > 0.0:
+                break
+            hull.pop()
+        hull.append(k)
+    return np.sort((np.array(hull[:-1]) + s) % m)
+
+
+def reference_region(tab):
+    """kernel_intersect's construction with the stack-only pass choosing the lines."""
+    dirs = np.stack([np.cos(tab.thetas), np.sin(tab.thetas)], axis=1)
+    normals = np.vstack([dirs, -dirs])
+    offsets = np.concatenate([tab.r, tab.r])
+    lines = reference_binding_lines(normals / offsets[:, None])
+    n1, c1 = normals[lines], offsets[lines]
+    n2, c2 = np.roll(n1, -1, axis=0), np.roll(c1, -1)
+    det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
+    vx = (c1 * n2[:, 1] - c2 * n1[:, 1]) / det
+    vy = (n1[:, 0] * c2 - n2[:, 0] * c1) / det
+    verts = kn._dedupe_loop(np.stack([vx, vy], axis=1))
+    return kn.KernelRegion(polygon=geo.ConvexPolygon(verts), n_halfplanes=2 * len(tab.r))
+
+
+def grid_table(r):
+    return kn.DirectionalBoundTable(thetas=np.arange(len(r)) * (math.pi / len(r)), r=r)
 
 
 def test_table_validation():
@@ -143,6 +180,83 @@ def test_every_vertex_satisfies_every_slab_property(n, seed, spread):
     assert reg.area == pytest.approx(clip_reference_area(tab), rel=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["kr", "baran", "raised", "lowered", "random"]),
+    st.integers(min_value=16, max_value=4096),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_matches_the_stack_only_reference_bitwise_property(kind, n, seed):
+    """Smooth tables (all polar points on the hull, or long collinear runs),
+    raised entries (redundant lines), lowered entries (tight lines that hide
+    many others) and random tables give the reference's vertex arrays exactly."""
+    rng = np.random.default_rng(seed)
+    x = seeded_interior_points(1, seed)[0]
+    if kind in ("kr", "lowered"):
+        tab = kr_table(x, n)
+    else:
+        tab = baran_table(x, n)
+    r = tab.r.copy()
+    pick = rng.choice(n, size=max(1, n // 8), replace=False)
+    if kind == "raised":
+        r[pick] *= 1.0 + 0.01 * rng.uniform(size=len(pick))
+    elif kind == "lowered":
+        r[pick] *= 1.0 - 0.5 * rng.uniform(size=len(pick))
+    elif kind == "random":
+        r = np.exp(rng.uniform(-2.0, 2.0, n))
+    tab = grid_table(r)
+    got = kn.kernel_intersect(tab).polygon.vertices
+    want = reference_region(tab).polygon.vertices
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def two_tight_antipodal_lines():
+    r = np.ones(2048)
+    r[0] = 0.1
+    return grid_table(r)
+
+
+def every_256th_line_tight():
+    r = np.ones(2048)
+    r[::256] = 0.99
+    return grid_table(r)
+
+
+@pytest.mark.parametrize(
+    "make", [two_tight_antipodal_lines, every_256th_line_tight], ids=["tight pair", "every 256th"]
+)
+def test_kernel_on_adversarial_tables_matches_both_references(make):
+    """Tables on which an iterated turn filter would need many rounds."""
+    tab = make()
+    v = kn.kernel_intersect(tab).polygon.vertices
+    assert np.array_equal(v, reference_region(tab).polygon.vertices)
+    dirs = np.stack([np.cos(tab.thetas), np.sin(tab.thetas)], axis=1)
+    assert np.max(np.abs(v @ dirs.T) - tab.r[None, :]) <= 1e-12
+
+
+def test_kernel_with_two_tight_lines_matches_the_clip_reference():
+    tab = two_tight_antipodal_lines()
+    assert kn.kernel_intersect(tab).area == pytest.approx(clip_reference_area(tab), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "name, opts",
+    [("k.csv", []), ("k.svg", ["--source", "baran", "--format", "svg"])],
+    ids=["kr csv", "baran svg"],
+)
+def test_kernel_output_is_byte_identical_to_the_stack_only_reference(
+    tmp_path, capsys, monkeypatch, name, opts
+):
+    argv = ["kernel", "0.25", "0.25", "--out"]
+    assert cli.main(argv + [str(tmp_path / name)] + opts) == 0
+    got = capsys.readouterr().out, (tmp_path / name).read_bytes()
+    monkeypatch.setattr(kn, "kernel_intersect", reference_region)
+    assert cli.main(argv + [str(tmp_path / ("ref-" + name))] + opts) == 0
+    want = capsys.readouterr().out, (tmp_path / ("ref-" + name)).read_bytes()
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "make, area",
     [
@@ -161,6 +275,16 @@ def test_kernel_area_matches_frozen_values(make, area):
 def test_kernel_region_rejects_asymmetric_polygon():
     with pytest.raises(ValueError):
         kn.KernelRegion(polygon=geo.unit_triangle(), n_halfplanes=6)
+
+
+def test_kernel_region_symmetry_tolerance_is_absolute():
+    """1e-9 times the scale, with no relative slack: a 1e-5 move on radius 10 fails."""
+    t = np.arange(6) * (math.pi / 3.0)
+    hexagon = 10.0 * np.stack([np.cos(t), np.sin(t)], axis=1)
+    assert kn.KernelRegion(polygon=geo.ConvexPolygon(hexagon), n_halfplanes=6).area > 0.0
+    hexagon[1, 0] += 1e-5
+    with pytest.raises(ValueError, match="centrally symmetric"):
+        kn.KernelRegion(polygon=geo.ConvexPolygon(hexagon), n_halfplanes=6)
 
 
 def test_kernel_is_inside_the_cloud_bounds():

@@ -394,6 +394,32 @@ def test_interval_ratio_near_an_endpoint_is_exact_and_fast(n):
     assert bound * (1.0 - 1e-9) <= ratio <= bound * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("n,x", [(1, 5e-10), (5, 1e-11)])
+def test_interval_ratio_next_to_an_endpoint_is_exact_to_rounding(n, x):
+    """Points where 1 - T_n^2 still exceeds 1e-9 but cancels: the chebval
+    ratio was 1.39e-8 above and 4.15e-8 below the bound there."""
+    ratio, bound = pl.bernstein_szego_1d(n, x, 0.0, 1.0)
+    assert abs(ratio - bound) <= 1e-15 * bound
+
+
+def test_interval_lp_runs_only_at_an_interior_extreme_point(monkeypatch):
+    """cos(pi/3) is an extreme point of T_3, where sin(3 phi) is a rounded
+    zero (1.2e-16): it must reach the LP search, not the trigonometric form."""
+    calls = []
+    real = pl.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "linprog", counting)
+    pl.bernstein_szego_1d(3, 0.35, 0.0, 1.0)
+    assert calls == []
+    ratio, bound = pl.bernstein_szego_1d(3, 0.5, -1.0, 1.0)
+    assert len(calls) > 0
+    assert 0.0 <= bound - ratio < 1e-3
+
+
 def test_interval_sharpness_guards():
     with pytest.raises(ValueError):
         pl.bernstein_szego_1d(3, 1.5, 0.0, 1.0)
