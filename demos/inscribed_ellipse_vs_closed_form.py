@@ -6,7 +6,8 @@ The semi-minor axis b of the largest inscribed ellipse r(t) = cos(t) a
 + b sin(t) y + (x - a) through x with conjugate direction y has a closed
 form on the standard triangle.  The solver knows nothing about that
 formula: it solves a linear program in (a, b^2) built from the polygon's
-edges alone, so agreement to rounding is a real check.
+edges alone, exactly, through its dual (the least of a closed form over triples
+of edges), so agreement to rounding is a real check.
 """
 
 import math
@@ -36,8 +37,9 @@ for _ in range(8):
 print()
 print(f"worst relative error: {worst:.3e}")
 
-# The direction-free constant E(x), the minimum over directions, comes from
-# the dual of the same LP: a closed form per triple of edges, no search over
-# directions.  At the centroid it equals 1/3 exactly.
+# The direction-free constant E(x), the minimum over directions, walks the
+# same edge triples with the direction taken out as the top eigenvalue of a
+# 2x2 matrix per triple: no search over directions.  At the centroid it
+# equals 1/3 exactly.
 e_min = el.best_ellipse_all_dirs(tri, np.array([1 / 3, 1 / 3]))
 print(f"min over directions at the centroid: {e_min:.10f}  (exact value 1/3)")

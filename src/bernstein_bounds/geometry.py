@@ -98,14 +98,25 @@ def interior_slack(K: ConvexPolygon, x) -> float:
     return float(np.min(c - n @ x))
 
 
-def require_interior(K: ConvexPolygon, x, tol: float = _BOUNDARY_TOL) -> np.ndarray:
-    """x as a float array, if its slack exceeds tol times the diameter of K."""
+def require_interior(K: ConvexPolygon, x) -> np.ndarray:
+    """x as a float array, if its slack exceeds 1e-12 times the diameter of K."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("point must be finite")
-    if interior_slack(K, x) <= tol * K.diameter:
+    if interior_slack(K, x) <= _BOUNDARY_TOL * K.diameter:
         raise ValueError("point is not strictly interior to the polygon")
     return x
+
+
+def unit_direction(y) -> np.ndarray:
+    """y scaled to unit length along its last axis; each direction must be finite and nonzero."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("direction must be finite")
+    length = np.hypot.reduce(y, axis=-1, keepdims=True)
+    if np.any(length == 0.0):
+        raise ValueError("direction must be nonzero")
+    return y / length
 
 
 def support(K: ConvexPolygon, u) -> float:
@@ -157,12 +168,8 @@ def maximal_chord(K: ConvexPolygon, v) -> float:
 
     Equals the radius of the difference body K + (-K) in direction v.
     """
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("direction must be nonzero")
     D = difference_body(K)
-    return float(_ray_hits(D, np.zeros(2), v / nv)[0])
+    return float(_ray_hits(D, np.zeros(2), unit_direction(v))[0])
 
 
 def minkowski_gauge(K: ConvexPolygon, x) -> float:

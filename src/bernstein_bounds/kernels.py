@@ -27,6 +27,8 @@ from .simplex import alpha_simplex, check_interior
 # kr_bound_dir is unused here; perfbench/tracing.py rebinds kernels.kr_bound_dir
 from .simplex import kr_bound_dir  # noqa: F401
 
+_SVG_PAD = 0.05  # margin around the drawing, as a share of its span
+
 
 @dataclass(frozen=True)
 class DirectionalBoundTable:
@@ -70,7 +72,7 @@ class KernelRegion:
     def __post_init__(self):
         v = self.polygon.vertices
         m = len(v)
-        scale = max(1.0, float(np.max(np.abs(v))))
+        scale = float(np.max(np.abs(v)))
         if m % 2 != 0 or np.any(np.abs(v + np.roll(v, m // 2, axis=0)) > 1e-9 * scale):
             raise ValueError("kernel region is not centrally symmetric")
 
@@ -146,7 +148,7 @@ def _turns_left(p: np.ndarray) -> np.ndarray:
 
 def _dedupe_loop(v: np.ndarray) -> np.ndarray:
     """Drop vertices within 1e-9 (relative) of their predecessor in a closed loop."""
-    scale = max(1.0, float(np.max(np.abs(v))))
+    scale = float(np.max(np.abs(v)))
     keep = np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1) > 1e-9 * scale
     return v[keep]
 
@@ -236,13 +238,13 @@ def region_to_csv(vertices: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def regions_to_svg(regions, pad: float = 0.05) -> str:
-    """Minimal SVG document with one path per closed vertex loop."""
+def regions_to_svg(regions) -> str:
+    """Minimal SVG document with one path per closed vertex loop, 5% margin."""
     allv = np.vstack([np.asarray(r, dtype=float) for r in regions])
     lo = allv.min(axis=0)
     hi = allv.max(axis=0)
     span = float(np.max(hi - lo))
-    margin = pad * span
+    margin = _SVG_PAD * span
     x0, y0 = lo - margin
     w, h = hi - lo + 2.0 * margin
     paths = []

@@ -20,6 +20,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import numpy.polynomial.polynomial as npp
 
+from .geometry import unit_direction
 from .simplex import baran_derivative, check_interior
 
 _SLACK = 1e-3
@@ -233,6 +234,8 @@ def bernstein_ratio(p: TotalDegreePolynomial, x, y, certificate=None) -> float:
     """|<grad p(x), y>| / (n sqrt(||p||^2 - p(x)^2)) with the certified norm."""
     if p.degree < 1:
         raise ValueError("ratio needs degree >= 1")
+    x = check_interior(x)
+    y = unit_direction(y)
     if certificate is None:
         certificate = sup_norm_simplex(p)
     norm = getattr(certificate, "value", certificate)
@@ -240,8 +243,6 @@ def bernstein_ratio(p: TotalDegreePolynomial, x, y, certificate=None) -> float:
     den2 = norm * norm - px * px
     if den2 <= 0.0:
         raise ValueError("|p(x)| >= certified sup-norm; ratio undefined")
-    y = np.asarray(y, dtype=float)
-    y = y / np.linalg.norm(y)
     return abs(float(gradient(p, x) @ y)) / (p.degree * math.sqrt(den2))
 
 
@@ -376,24 +377,25 @@ def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):
 def bernstein_szego_1d(n: int, x: float, a: float, b: float):
     """(ratio, bound) for the interval inequality |p'| <= n sqrt(||p||^2-p^2) / sqrt((b-x)(x-a)).
 
-    The ratio is that of the Chebyshev transplant on [a, b] in trigonometric
-    form, free of cancellation: with phi the angle of x from the nearer end,
-    1 - T_n^2 = sin^2(n phi) and |T_n'| = n |sin(n phi)| / sin(phi).  At the
-    interior extreme points cos(k pi / n), 0 < k < n (where sin(n phi) = 0 and
-    the ratio is 0/0) an LP search over unit-norm polynomials takes over and
-    approaches the bound from below.
+    The Chebyshev transplant on [a, b] attains the bound wherever |T_n(x)| < 1:
+    with phi the angle of x from the nearer end, 1 - T_n^2 = sin^2(n phi) and
+    |T_n'| = n |sin(n phi)| / sin(phi), so the ratio is the bound itself, and it
+    is returned as such (through phi it would divide by a sin(phi) that can
+    underflow).  At the interior extreme points cos(k pi / n), 0 < k < n (where
+    sin(n phi) = 0 and the ratio is 0/0) an LP search over unit-norm
+    polynomials takes over and approaches the bound from below.
     """
     if not a < x < b:
         raise ValueError("need a < x < b")
     if n < 1:
         raise ValueError("degree must be >= 1")
-    bound = n / math.sqrt((b - x) * (x - a))
+    bound = n / (math.sqrt(b - x) * math.sqrt(x - a))  # the product can under- or overflow
     phi = 2.0 * math.asin(math.sqrt(min(b - x, x - a) / (b - a)))
     s = math.sin(n * phi)
     if s * s <= 1e-9 and round(n * phi / math.pi) > 0:
         ratio = _degenerate_sharpness(n, x, a, b)
     else:
-        ratio = abs(n * s / math.sin(phi)) * (2.0 / (b - a)) / abs(s)
+        ratio = bound
     return ratio, bound
 
 

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .geometry import unit_direction
+
 _MARGIN = 1e-12
 
 
@@ -37,14 +39,6 @@ def check_interior(x, margin: float = _MARGIN):
     return x
 
 
-def _unit(y):
-    y = np.asarray(y, dtype=float)
-    n = np.linalg.norm(y, axis=-1, keepdims=True)
-    if np.any(n == 0.0):
-        raise ValueError("direction must be nonzero")
-    return y / n
-
-
 def ellipse_constant_dir(x, y):
     """Largest half-axis b of an inscribed ellipse through x with axis direction y.
 
@@ -61,7 +55,7 @@ def baran_derivative(x, y):
     unit vector; the tests pin it by the independent route V(x + i t y)/t.
     """
     x = check_interior(x)
-    y = _unit(y)
+    y = unit_direction(y)
     s = np.sum(y * y / x, axis=-1) + np.sum(y, axis=-1) ** 2 / (1.0 - np.sum(x, axis=-1))
     return np.sqrt(s)
 
@@ -94,7 +88,10 @@ def tau_simplex(phi):
     Piecewise in phi mod pi: 1/(cos+sin) on [0, pi/2], 1/sin on (pi/2, 3pi/4],
     -1/cos on (3pi/4, pi).
     """
-    phi = np.mod(np.asarray(phi, dtype=float), math.pi)
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("angle must be finite")
+    phi = np.mod(phi, math.pi)
     c, s = np.cos(phi), np.sin(phi)
     with np.errstate(divide="ignore", over="ignore"):
         out = np.where(

@@ -13,6 +13,19 @@ from bernstein_bounds import simplex as sx
 TRI = geo.unit_triangle()
 M = np.array([1 / 3, 1 / 3])
 CSQUARE = geo.ConvexPolygon(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+PARALLELOGRAM = geo.ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.3], [2.7, 1.5], [0.7, 1.2]]))
+
+
+def _regular(m):
+    angles = np.arange(m) * (2.0 * math.pi / m)
+    return geo.ConvexPolygon(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+def _random_polygon(rng, m):
+    """Hull of m points on an ellipse at random angles, under a random shear."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+    A = np.array([[1.0, rng.uniform(-1.0, 1.0)], [0.0, rng.uniform(0.3, 2.0)]])
+    return geo.ConvexPolygon(np.column_stack([np.cos(angles), np.sin(angles)]) @ A.T)
 
 
 def test_inscribed_ellipse_validation():
@@ -70,12 +83,41 @@ def _feasible_a(K, x, y, b):
     return region
 
 
+def _bracket_cases():
+    yield "triangle", TRI, np.array([0.2, 0.3]), 0.7
+    for m in range(4, 13):
+        rng = np.random.default_rng(300 + m)
+        K = _random_polygon(rng, m)
+        yield f"random {m}-gon", K, rng.dirichlet(np.ones(m)) @ K.vertices, rng.uniform(0.0, math.pi)
+    named = [("square", CSQUARE), ("parallelogram", PARALLELOGRAM)]
+    named += [(f"regular {m}-gon", _regular(m)) for m in (6, 8, 12)]
+    for name, K in named:
+        rng = np.random.default_rng(len(K.vertices))
+        x = rng.dirichlet(np.ones(len(K.vertices))) @ K.vertices
+        for phi in (0.0, rng.uniform(0.0, math.pi)):  # phi = 0 runs along two square edges
+            yield f"{name} at {phi:.3f}", K, x, phi
+
+
 def test_lp_optimum_brackets_the_clipped_region():
     """Just below the reported b some a fits, just above none does (clipping, not the LP)."""
-    x, y = np.array([0.2, 0.3]), np.array([math.cos(0.7), math.sin(0.7)])
-    b = el.best_ellipse(TRI, x, y).best_b
-    assert len(_feasible_a(TRI, x, y, (1.0 - 1e-9) * b)) > 0
-    assert len(_feasible_a(TRI, x, y, (1.0 + 1e-9) * b)) == 0
+    for name, K, x, phi in _bracket_cases():
+        y = np.array([math.cos(phi), math.sin(phi)])
+        b = el.best_ellipse(K, x, y).best_b
+        assert len(_feasible_a(K, x, y, (1.0 - 1e-9) * b)) > 0, name
+        assert len(_feasible_a(K, x, y, (1.0 + 1e-9) * b)) == 0, name
+
+
+@pytest.mark.parametrize("m", (6, 8, 12))
+def test_witness_fits_on_regular_polygons(m):
+    """Antiparallel edges make triples tie for the least t; the witness must still fit."""
+    K = _regular(m)
+    rng = np.random.default_rng(500 + m)
+    worst = 0.0
+    for x in rng.dirichlet(np.ones(m), size=50) @ K.vertices:
+        for phi in np.arange(7) * (math.pi / 7):
+            rep = el.best_ellipse(K, x, (math.cos(phi), math.sin(phi)))
+            worst = max(worst, rep.feasibility_residual)
+    assert worst <= 1e-12 * K.diameter
 
 
 def test_best_b_shrinks_when_the_body_shrinks():
@@ -136,13 +178,6 @@ def _sweep_and_golden(K, x, n_dirs=256, tol=1e-10):
     return min(vals[k], f1, f2)
 
 
-def _random_polygon(rng, m):
-    """Hull of m points on an ellipse at random angles, under a random shear."""
-    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
-    A = np.array([[1.0, rng.uniform(-1.0, 1.0)], [0.0, rng.uniform(0.3, 2.0)]])
-    return geo.ConvexPolygon(np.column_stack([np.cos(angles), np.sin(angles)]) @ A.T)
-
-
 @pytest.mark.parametrize("m", range(3, 13))
 def test_all_dirs_equals_the_primal_sweep_minimum(m):
     rng = np.random.default_rng(100 + m)
@@ -159,7 +194,7 @@ def test_all_dirs_equals_the_primal_sweep_minimum(m):
     "K,x",
     [
         (CSQUARE, [0.3, -0.55]),
-        (geo.ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.3], [2.7, 1.5], [0.7, 1.2]])), [1.9, 0.6]),
+        (PARALLELOGRAM, [1.9, 0.6]),
     ],
     ids=["off-centre square", "parallelogram"],
 )
@@ -280,7 +315,7 @@ def _filleted_triangle(r, per_corner):
 
 def test_many_edges_with_a_known_answer():
     """Shaving the corners with lines that miss the triangle's optimal ellipse keeps
-    the closed form, and the working set stays a handful of the 200+ edges."""
+    the closed form and its three touching edges among the 200+ edges."""
     x, y = np.array([0.3, 0.25]), np.array([math.cos(0.2), math.sin(0.2)])
     K = _filleted_triangle(0.03, 70)
     assert len(K.vertices) >= 200
@@ -288,9 +323,10 @@ def test_many_edges_with_a_known_answer():
     n, c = TRI.edge_normals()
     assert np.all(K.vertices @ n.T <= c + 1e-15)
     assert el.containment_violation(el.best_ellipse(TRI, x, y).witness, K) <= 1e-12
+    start = time.perf_counter()
     rep = el.best_ellipse(K, x, y)
+    assert time.perf_counter() - start < 5.0
     assert rep.best_b == pytest.approx(float(sx.ellipse_constant_dir(x, y)), rel=1e-12)
-    assert rep.iterations <= 10
     assert len(rep.active_edges) == 3
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernstein_bounds import ellipse as el
 from bernstein_bounds import geometry as geo
+from bernstein_bounds import polynomials as pl
 from bernstein_bounds import simplex as sx
 
 TRI = geo.unit_triangle()
@@ -96,6 +98,40 @@ def test_maximal_chord_matches_branch_formulas(phi):
 def test_maximal_chord_rejects_zero_direction():
     with pytest.raises(ValueError):
         geo.maximal_chord(TRI, np.zeros(2))
+
+
+_LINEAR = pl.TotalDegreePolynomial(1, np.array([0.5, -1.0, 2.0]))
+_CENTROID = np.array([1 / 3, 1 / 3])
+
+
+@pytest.mark.parametrize("y", [[math.nan, 1.0], [math.inf, 0.0], [0.0, 0.0]], ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda y: geo.unit_direction(y),
+        lambda y: geo.maximal_chord(TRI, y),
+        lambda y: el.best_ellipse(TRI, _CENTROID, y),
+        lambda y: sx.baran_derivative(_CENTROID, y),
+        lambda y: sx.ellipse_constant_dir(_CENTROID, y),
+        lambda y: pl.bernstein_ratio(_LINEAR, _CENTROID, y, 1.0),
+    ],
+    ids=["unit_direction", "maximal_chord", "best_ellipse", "baran_derivative",
+         "ellipse_constant_dir", "bernstein_ratio"],
+)
+def test_every_direction_is_checked_once(call, y):
+    """One shared check: a nan direction used to give nan (inf from maximal_chord),
+    and an infinite or zero one a RuntimeWarning, depending on the function."""
+    with pytest.raises(ValueError, match="direction must be"):
+        call(np.array(y))
+
+
+def test_angle_and_point_checks():
+    with pytest.raises(ValueError, match="angle must be finite"):
+        sx.tau_simplex(math.nan)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        sx.tau_simplex(np.array([0.5, math.inf]))
+    with pytest.raises(ValueError, match="not strictly interior"):
+        pl.bernstein_ratio(_LINEAR, np.array([0.9, 0.9]), np.array([1.0, 0.0]), 1.0)
 
 
 def test_gauge_on_centered_square():

@@ -287,6 +287,16 @@ def test_kernel_region_symmetry_tolerance_is_absolute():
         kn.KernelRegion(polygon=geo.ConvexPolygon(hexagon), n_halfplanes=6)
 
 
+def test_kernel_area_scales_with_the_bounds():
+    """A constant table r gives the regular 128-gon of inradius r at every scale:
+    the old max(1, max|v|) scale merged every vertex when r <= 1e-9."""
+    thetas = np.arange(64) * (math.pi / 64)
+    want = 128.0 * math.tan(math.pi / 128.0)
+    for r in (1e-12, 1e-9, 1.0, 1e6):
+        region = kn.kernel_intersect(kn.DirectionalBoundTable(thetas, np.full(64, r)))
+        assert region.area / r**2 == pytest.approx(want, rel=1e-12)
+
+
 def test_kernel_is_inside_the_cloud_bounds():
     """Every kernel point projects under r(theta) along every table direction."""
     tab = kr_table(np.array([0.25, 0.4]), 128)

@@ -402,6 +402,19 @@ def test_interval_ratio_next_to_an_endpoint_is_exact_to_rounding(n, x):
     assert abs(ratio - bound) <= 1e-15 * bound
 
 
+@pytest.mark.parametrize(
+    "n,x,b", [(1, 5e-324, 1e300), (3, 1e-310, 1e10), (1, 1e-300, 2e-300), (2, 1e200, 1.5e300)]
+)
+def test_interval_ratio_at_extreme_scales_is_the_bound(n, x, b):
+    """Through phi the first raised ZeroDivisionError and the second came out
+    5.6e-6 above the bound: sin(phi) underflows or loses its digits.  In the
+    last two (b - x)(x - a) under- and overflows: ZeroDivisionError, and 0."""
+    ratio, bound = pl.bernstein_szego_1d(n, x, 0.0, b)
+    assert 0.0 < bound < math.inf
+    assert abs(ratio - bound) <= 1e-15 * bound
+    assert bound == pytest.approx(n / (math.sqrt(b - x) * math.sqrt(x)), rel=1e-15)
+
+
 def test_interval_lp_runs_only_at_an_interior_extreme_point(monkeypatch):
     """cos(pi/3) is an extreme point of T_3, where sin(3 phi) is a rounded
     zero (1.2e-16): it must reach the LP search, not the trigonometric form."""
