@@ -4,9 +4,10 @@
 with the columns COMPARE_COLUMNS, and writes it as %.12g CSV or as JSON.
 Negative float arguments may carry an exponent, as in -1e-3, or be -inf or -nan.
 
-Exit codes: 0 ok, 2 parse failure, 3 domain error (non-interior point and
-friends), 4 unwritable output.  All randomness is pinned by --seed and output
-ordering is fixed, so identical invocations produce byte-identical files.
+Exit codes: 0 ok, 2 parse failure, 3 domain error (non-interior point, a size
+too large to allocate, and friends), 4 unwritable output.  All randomness is
+pinned by --seed and output ordering is fixed, so identical invocations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 

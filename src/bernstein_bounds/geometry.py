@@ -129,14 +129,23 @@ def width(K: ConvexPolygon, u) -> float:
     return support(K, u) + support(K, -u)
 
 
+def _edge_widths(K: ConvexPolygon) -> np.ndarray:
+    """Width w_e = c_e - min_k <n_e, v_k> of K across each edge line n_e . p = c_e."""
+    n, c = K.edge_normals()
+    return c - np.min(K.vertices @ n.T, axis=0)
+
+
 def min_width(K: ConvexPolygon) -> float:
-    """Minimal width; for a polygon the minimizing direction is an edge normal."""
-    n, _ = K.edge_normals()
-    return min(width(K, ni) for ni in n)
+    """Minimal width min_e w_e: for a polygon the minimizing direction is an edge normal."""
+    return float(np.min(_edge_widths(K)))
 
 
 def difference_body(K: ConvexPolygon) -> ConvexPolygon:
-    """Central symmetrization K + (-K), built by merging edge vectors by angle."""
+    """Central symmetrization K + (-K), built by merging edge vectors by angle.
+
+    The chord queries read its polar from K's edge lines instead, so this
+    explicit body is a second route to them.
+    """
     v = K.vertices
     e = np.roll(v, -1, axis=0) - v
     edges = np.vstack([e, -e])  # CCW edges of -K are the negated edges of K
@@ -153,40 +162,48 @@ def _lowest_vertex(v) -> np.ndarray:
 
 
 def _ray_hits(K: ConvexPolygon, origin, dirs) -> np.ndarray:
-    """Distance from a strictly interior origin to the boundary along each direction."""
-    n, c = K.edge_normals()
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    num = c - n @ np.asarray(origin, dtype=float)  # (E,) all > 0 inside
-    den = n @ dirs.T  # (E, N)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(den > 1e-300, num[:, None] / den, np.inf)
-    return np.min(t, axis=0)
+    """Distance from a strictly interior origin to the boundary along each direction.
 
-
-def maximal_chord(K: ConvexPolygon, v) -> float:
-    """Length of the longest chord of K parallel to v.
-
-    Equals the radius of the difference body K + (-K) in direction v.
+    1 / max_e <n_e, d> / s_e with the slacks s_e = c_e - <n_e, origin> > 0: K is
+    bounded, so some edge faces every nonzero d and the maximum is positive.
     """
-    D = difference_body(K)
-    return float(_ray_hits(D, np.zeros(2), unit_direction(v))[0])
+    n, c = K.edge_normals()
+    return 1.0 / np.max(dirs @ n.T / (c - n @ origin), axis=-1)
+
+
+def maximal_chord(K: ConvexPolygon, v):
+    """Length tau(K, v) of the longest chord of K parallel to v, over directions (..., 2).
+
+    tau is the radial function of the difference body K + (-K) = intersection
+    of the slabs |<n_e, p>| <= w_e, so 1/tau is the support function of its
+    polar conv{+-n_e / w_e}: tau = 1 / max_e |<n_e, v>| / w_e for unit v.
+    A float for one direction.
+    """
+    n, _ = K.edge_normals()
+    out = 1.0 / np.max(np.abs(unit_direction(v) @ n.T) / _edge_widths(K), axis=-1)
+    return out if out.ndim else float(out)
 
 
 def minkowski_gauge(K: ConvexPolygon, x) -> float:
-    """Gauge inf{t > 0 : x in t*K}; the origin's slack must exceed 1e-12 diam K."""
-    if interior_slack(K, np.zeros(2)) <= _BOUNDARY_TOL * K.diameter:
+    """Gauge inf{t > 0 : x in t*K} = max_e <n_e, x> / c_e.
+
+    The origin's slack min_e c_e must exceed 1e-12 diam K, and x must be finite.
+    """
+    n, c = K.edge_normals()
+    if np.min(c) <= _BOUNDARY_TOL * K.diameter:
         raise ValueError("gauge needs the origin strictly interior to K")
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
-    if r == 0.0:
-        return 0.0
-    return r / float(_ray_hits(K, np.zeros(2), x / r)[0])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point must be finite")
+    return float(np.max(n @ x / c))
 
 
 def chord_balance(K: ConvexPolygon, x, thetas) -> np.ndarray:
     """2 sqrt(|x-a||x-b|) / |a-b| for the chord through x at each angle."""
     x = require_interior(K, x)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("angle must be finite")
     d = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     tp = _ray_hits(K, x, d)
     tm = _ray_hits(K, x, -d)

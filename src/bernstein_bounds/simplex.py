@@ -85,20 +85,15 @@ def alpha_simplex(x):
 def tau_simplex(phi):
     """Maximal chord length of the planar simplex in direction (cos phi, sin phi).
 
-    Piecewise in phi mod pi: 1/(cos+sin) on [0, pi/2], 1/sin on (pi/2, 3pi/4],
-    -1/cos on (3pi/4, pi).
+    The polar of the triangle's difference body has the vertices +-(1, 0),
+    +-(0, 1) and +-(1, 1) (the n_e / w_e of geometry.maximal_chord), so
+    tau = 1 / max(|cos phi|, |sin phi|, |cos phi + sin phi|).
     """
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise ValueError("angle must be finite")
-    phi = np.mod(phi, math.pi)
     c, s = np.cos(phi), np.sin(phi)
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.where(
-            phi <= math.pi / 2.0,
-            1.0 / (c + s),
-            np.where(phi <= 3.0 * math.pi / 4.0, 1.0 / s, -1.0 / c),
-        )
+    out = 1.0 / np.maximum(np.maximum(np.abs(c), np.abs(s)), np.abs(c + s))
     return out if out.ndim else float(out)
 
 

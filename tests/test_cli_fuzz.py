@@ -2,8 +2,9 @@
 a traceback, and never prints a non-finite number.
 
 Sizes stay small (grid <= 60, dirs <= 64, trials <= 5, degree <= 9), so no
-case allocates a large array; the floats mix ordinary, huge, tiny and
-non-finite values.
+case allocates a large array; two examples ask for sizes so large that numpy
+refuses them before allocating anything.  The floats mix ordinary, huge, tiny
+and non-finite values.
 """
 
 import contextlib
@@ -135,6 +136,8 @@ def test_fuzz_strategy_reaches_every_subcommand():
 @example(argv=["extremal", "0.5", "-inf", "0.25", "0"])  # -inf and -nan are numbers
 @example(argv=["compare", "--margin", "-inf"])
 @example(argv=["kernel", "0.3", "-nan"])
+@example(argv=["compare", "--grid", "10000000"])  # numpy refuses the 728 TiB grid at once
+@example(argv=["kernel", "0.3", "0.3", "--dirs", "10000000000000"])  # and a 72.8 TiB table
 def test_argv_fuzz_exits_cleanly(scratch, argv):
     code, out, err = run([str(scratch / a) if a in FILES else a for a in argv])
     assert code in {0, 2, 3, 4}, (code, err)

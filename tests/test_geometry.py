@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bernstein_bounds import ellipse as el
 from bernstein_bounds import geometry as geo
+from bernstein_bounds import kernels as ker
 from bernstein_bounds import polynomials as pl
 from bernstein_bounds import simplex as sx
 
@@ -132,6 +133,14 @@ def test_angle_and_point_checks():
         sx.tau_simplex(np.array([0.5, math.inf]))
     with pytest.raises(ValueError, match="not strictly interior"):
         pl.bernstein_ratio(_LINEAR, np.array([0.9, 0.9]), np.array([1.0, 0.0]), 1.0)
+    # the gauge gave nan for a nan point and a RuntimeWarning for an infinite one,
+    # and the chord balance a RuntimeWarning for either angle
+    C = geo.ConvexPolygon(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="point must be finite"):
+            geo.minkowski_gauge(C, np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="angle must be finite"):
+            geo.chord_balance(TRI, _CENTROID, [bad])
 
 
 def test_gauge_on_centered_square():
@@ -318,3 +327,101 @@ def test_alpha_on_affine_triangle_images(u, v, rot1, rot2, s1, s2, c1, c2):
     K = geo.ConvexPolygon(TRI.vertices @ A.T + np.array([c1, c2]))
     want = 1.0 - 2.0 * min(x[0], x[1], 1.0 - x[0] - x[1])
     assert abs(geo.alpha(K, A @ x + np.array([c1, c2])) - want) <= 1e-12
+
+
+def _edge_widths_by_support(K):
+    """w(K, n_e) for each edge normal, from the support function over the vertices."""
+    n, _ = K.edge_normals()
+    return np.array([geo.width(K, ni) for ni in n])
+
+
+def _well_conditioned(K):
+    """diam/min width <= 100: there both chord routes keep 1e-12 relative."""
+    return K.diameter <= 100.0 * float(np.min(_edge_widths_by_support(K)))
+
+
+def _radial(P, u):
+    """Where the ray from the origin along each unit u (N, 2) leaves the polygon P:
+    on the edge segment whose end vertices bracket u's angle."""
+    v = P.vertices
+    ang = np.arctan2(v[:, 1], v[:, 0])
+    k = np.searchsorted(np.sort(ang), np.arctan2(u[:, 1], u[:, 0]), side="right") - 1
+    i = np.argsort(ang)[k % len(v)]
+    a, e = v[i], v[(i + 1) % len(v)] - v[i]
+    return (a[:, 0] * e[:, 1] - a[:, 1] * e[:, 0]) / (u[:, 0] * e[:, 1] - u[:, 1] * e[:, 0])
+
+
+def _unit(phi):
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_maximal_chord_is_the_radius_of_the_difference_body(seed):
+    K = _random_hull(seed)
+    assume(_well_conditioned(K))
+    u = _unit(np.random.default_rng(seed).uniform(-math.pi, math.pi, 500))
+    tau = geo.maximal_chord(K, u)
+    assert tau.shape == (500,)
+    np.testing.assert_allclose(tau, _radial(geo.difference_body(K), u), rtol=1e-12)
+    assert isinstance(geo.maximal_chord(K, u[0]), float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_min_width_is_the_least_edge_width(seed):
+    K = _random_hull(seed)
+    assume(_well_conditioned(K))
+    want = float(np.min(_edge_widths_by_support(K)))
+    assert geo.min_width(K) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_gauge_scales_points_onto_the_boundary(seed, phi, t):
+    hull = _random_hull(seed)
+    K = geo.ConvexPolygon(hull.vertices - hull.centroid)  # the origin is inside
+    assume(_well_conditioned(K))
+    x = 0.7 * _unit(phi)
+    g = geo.minkowski_gauge(K, x)
+    assert abs(geo.interior_slack(K, x / g)) <= 1e-14 * K.diameter
+    assert geo.minkowski_gauge(K, t * x) == pytest.approx(t * g, rel=1e-14)
+    assert geo.minkowski_gauge(K, np.zeros(2)) == 0.0
+
+
+def test_tau_simplex_is_the_triangle_chord():
+    branch = np.array([0.0, math.pi / 2, 3 * math.pi / 4, math.pi - 1e-15, math.pi, -math.pi / 4])
+    phi = np.concatenate([branch, np.linspace(-20.0, 20.0, 4096 - len(branch))])
+    tau = sx.tau_simplex(phi)
+    np.testing.assert_allclose(tau, geo.maximal_chord(TRI, _unit(phi)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chord_family_kernel_falls_to_the_polar_area(seed):
+    """The kr table 2/(tau sqrt(1 - alpha)) cuts out (2/sqrt(1 - alpha)) D°, D° =
+    conv{+-n_e/w_e} the polar of the difference body: sampled at N directions its
+    area falls toward the exact one as N doubles and never drops below it."""
+    rng = np.random.default_rng(seed)
+    c, s = _unit(rng.uniform(0.0, math.pi))
+    A = np.array([[c, -s], [s, c]]) @ np.diag(rng.uniform(0.5, 2.0, 2))
+    K = geo.ConvexPolygon(_unit(np.sort(rng.uniform(0.0, 2 * math.pi, rng.integers(5, 9)))) @ A.T)
+    assert 5 <= len(K.vertices) <= 8 and _well_conditioned(K)
+    a = geo.alpha(K, K.centroid)
+    n, _ = K.edge_normals()
+    polar = n / _edge_widths_by_support(K)[:, None]
+    from scipy.spatial import ConvexHull
+
+    exact = 4.0 / (1.0 - a) * ConvexHull(np.vstack([polar, -polar])).volume
+    areas = np.array([
+        ker.kernel_intersect(ker.DirectionalBoundTable.from_function(
+            lambda t: 2.0 / (geo.maximal_chord(K, _unit(t)) * math.sqrt(1.0 - a)), N)).area
+        for N in (256, 512, 1024, 2048, 4096)
+    ])
+    excess = areas / exact - 1.0
+    assert np.all(excess >= -1e-12), excess
+    assert np.all(np.diff(excess) <= 1e-12), excess
+    assert excess[-1] < excess[0] / 4, excess
