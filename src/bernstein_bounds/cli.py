@@ -1,7 +1,8 @@
 """Command-line surface: comparison sweeps, constants, kernels, verification.
 
 `compare` holds its sweep as one float table, a row per (point, direction)
-with the columns COMPARE_COLUMNS, and writes it as %.12g CSV or as JSON.
+with the columns COMPARE_COLUMNS, and writes it as %.12g CSV or as JSON; the
+CSV formats each point's coordinates and each angle once, not once per row.
 Negative float arguments may carry an exponent, as in -1e-3, or be -inf or -nan.
 
 Exit codes: 0 ok, 2 parse failure, 3 domain error (non-interior point, a size
@@ -13,6 +14,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -155,8 +157,14 @@ def cmd_compare(args) -> int:
         "summary": summary,
     }
     if args.format == "csv":
-        row = ",".join(["%.12g"] * len(COMPARE_COLUMNS)) + "\n"
-        body = row * len(table) % tuple(table.ravel().tolist())
+        # rows run over the points with phi innermost, as comparison_sweep documents
+        head = ["%.12g,%.12g" % tuple(p) for p in table[::args.dirs, :2].tolist()]
+        phi = ["%.12g" % p for p in table[:args.dirs, 2].tolist()]
+        cols = np.empty((len(table), 6), dtype=object)
+        cols[:, 0] = np.repeat(np.array(head, dtype=object), args.dirs)
+        cols[:, 1] = np.tile(np.array(phi, dtype=object), len(head))
+        cols[:, 2:] = table[:, 3:]
+        body = ("%s,%s" + ",%.12g" * 4 + "\n") * len(table) % tuple(cols.ravel().tolist())
         _write(args.out, ",".join(COMPARE_COLUMNS) + "\n" + body)
     elif args.format == "json":
         rows = [dict(zip(COMPARE_COLUMNS, r)) for r in table.tolist()]
@@ -251,6 +259,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bernstein-bounds",

@@ -120,13 +120,13 @@ def unit_direction(y) -> np.ndarray:
 
 
 def support(K: ConvexPolygon, u) -> float:
-    """Support function h(K, u) = max over vertices of <v, u>."""
-    return float(np.max(K.vertices @ np.asarray(u, dtype=float)))
+    """Support function h(K, u) = max over vertices of <v, u>, for u scaled to unit length."""
+    return float(np.max(K.vertices @ unit_direction(u)))
 
 
 def width(K: ConvexPolygon, u) -> float:
-    u = np.asarray(u, dtype=float)
-    return support(K, u) + support(K, -u)
+    h = K.vertices @ unit_direction(u)
+    return float(np.max(h) - np.min(h))
 
 
 def _edge_widths(K: ConvexPolygon) -> np.ndarray:

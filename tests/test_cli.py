@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from bernstein_bounds import cli
 
@@ -289,6 +291,68 @@ def test_compare_csv_bytes_match_per_value_formatting(tmp_path, capsys):
     assert capsys.readouterr().out == want
     assert cli.main(["compare", "--grid", "5", "--dirs", "8"]) == 0
     assert capsys.readouterr().out.startswith(_reference_csv(cli.comparison_sweep(5, 8)[0]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(min_value=4, max_value=14),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([0.0, 1e-3, 0.05, 0.2]),
+    st.booleans(),
+)
+@example(grid=9, dirs=1, margin=1e-3, to_file=False)
+@example(grid=5, dirs=8, margin=0.3, to_file=True)  # a single interior point
+def test_compare_csv_layout_matches_per_value_formatting(tmp_path, capsys, grid, dirs, margin, to_file):
+    """The CSV formats coordinates once per point and phi once per direction, which
+    relies on the table's row order; every layout of points and directions must
+    give the bytes of formatting each value on its own."""
+    try:
+        table, summary = cli.comparison_sweep(grid, dirs, margin)
+    except ValueError:  # the margin leaves no interior point
+        assume(False)
+    out = tmp_path / "p.csv"
+    argv = ["compare", "--grid", str(grid), "--dirs", str(dirs), "--margin", repr(margin)]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out)] if to_file else argv) == 0
+    want = _reference_csv(table)
+    line = (f"rows={len(table)} min_quotient={summary['min_quotient']:.12g} "
+            f"near_equality={summary['near_equality_count']}\n")
+    if to_file:
+        assert out.read_text() == want
+        assert capsys.readouterr().out == line
+    else:
+        assert capsys.readouterr().out == want + line
+
+
+def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
+    """main builds its parser once per process; a parse failure and later runs
+    read the same as when the parser is rebuilt for every call."""
+    runs = [
+        ["compare", "--grid", "five"],
+        ["compare", "--grid", "5", "--dirs", "8", "--out", "c.csv"],
+        ["kernel", "0.25", "0.25", "--dirs", "64", "--out", "k.csv"],
+    ]
+
+    def run_all(d, fresh):
+        d.mkdir()
+        cli._build_parser.cache_clear()
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = cli.main([str(d / a) if a.endswith(".csv") else a for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen, {f.name: f.read_bytes() for f in sorted(d.iterdir())}
+
+    cached = run_all(tmp_path / "cached", fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().hits == len(runs) - 1
+    assert [code for code, _, _ in cached[0]] == [2, 0, 0]
+    assert "invalid int value" in cached[0][0][2]
+    assert cached == run_all(tmp_path / "fresh", fresh=True)
 
 
 def test_compare_json_bytes_match_row_dicts(tmp_path):

@@ -115,9 +115,11 @@ _CENTROID = np.array([1 / 3, 1 / 3])
         lambda y: sx.baran_derivative(_CENTROID, y),
         lambda y: sx.ellipse_constant_dir(_CENTROID, y),
         lambda y: pl.bernstein_ratio(_LINEAR, _CENTROID, y, 1.0),
+        lambda y: geo.support(TRI, y),
+        lambda y: geo.width(TRI, y),
     ],
     ids=["unit_direction", "maximal_chord", "best_ellipse", "baran_derivative",
-         "ellipse_constant_dir", "bernstein_ratio"],
+         "ellipse_constant_dir", "bernstein_ratio", "support", "width"],
 )
 def test_every_direction_is_checked_once(call, y):
     """One shared check: a nan direction used to give nan (inf from maximal_chord),
