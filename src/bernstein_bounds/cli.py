@@ -167,8 +167,12 @@ def cmd_compare(args) -> int:
         body = ("%s,%s" + ",%.12g" * 4 + "\n") * len(table) % tuple(cols.ravel().tolist())
         _write(args.out, ",".join(COMPARE_COLUMNS) + "\n" + body)
     elif args.format == "json":
-        rows = [dict(zip(COMPARE_COLUMNS, r)) for r in table.tolist()]
-        _write(args.out, json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n")
+        # json.dumps(..., indent=1) of the row dicts, whose encoder is pure Python
+        # under indent: %r is json's float repr, and every table value is finite
+        row = "  {\n" + ",\n".join(f'   "{c}": %r' for c in COMPARE_COLUMNS) + "\n  }"
+        body = ",\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+        head = json.dumps({"meta": meta}, indent=1)[:-2]
+        _write(args.out, f'{head},\n "rows": [\n{body}\n ]\n}}\n')
     else:
         raise ValueError("compare supports csv or json")
     print(f"rows={len(table)} min_quotient={_fmt(summary['min_quotient'])} "

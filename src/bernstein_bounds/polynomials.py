@@ -2,23 +2,25 @@
 
 Random bivariate polynomials and transplanted Chebyshev families are pushed
 through the Bernstein ratio |<grad p, y>| / (n sqrt(||p||^2 - p^2)) and
-compared against the pluripotential bound; the sup-norm on the simplex is
-certified as a refined grid lower bound: a tensor-product grid A @ c @ A.T
-whose power matrix and simplex indices are cached per (degree, resolution),
-exact edge maxima from the roots of the edge derivatives, and Newton polish
-in the interior, with p itself evaluated at every refined point.
+compared against the pluripotential bound; p and its gradient come from one
+Horner pass.  The sup-norm on the simplex is bracketed: from below by |p| at
+the vertices and edge-derivative roots (the exact boundary maximum), at the
+nodes of a tensor-product grid A @ c @ A.T cached per (degree, resolution),
+and at Newton-polished interior points; from above by the largest |Bezier
+ordinate| (convex hull).  When no ordinate exceeds the boundary maximum, that
+maximum is the norm, and no grid or Newton step runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-import numpy.polynomial.polynomial as npp
 
 from .geometry import unit_direction
 from .simplex import baran_derivative, check_interior
@@ -49,6 +51,8 @@ class TotalDegreePolynomial:
             raise ValueError(
                 f"degree {self.degree} needs {n_coefficients(self.degree)} coefficients"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
@@ -69,6 +73,14 @@ class TotalDegreePolynomial:
     @cached_property
     def _dy(self):
         return _derivative(self.square, 1)
+
+    @cached_property
+    def _stack(self):
+        """p, d/dx1 p and d/dx2 p side by side, shape (n+1, n+1, 3), zero padded."""
+        n1 = self.degree + 1
+        stack = np.zeros((n1, n1, 3))
+        stack[..., 0], stack[:-1, :, 1], stack[:, :-1, 2] = self.square, self._dx, self._dy
+        return stack
 
     @cached_property
     def _newton_block(self):
@@ -94,21 +106,30 @@ def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
     return c[1:] * k[:, None] if axis == 0 else c[:, 1:] * k
 
 
+def _value_and_gradient(p: TotalDegreePolynomial, points) -> np.ndarray:
+    """[p, d/dx1 p, d/dx2 p] at points (..., 2), shape (..., 3): Horner in x1, then x2,
+    over p._stack, as polyval2d of p.square, p._dx and p._dy, bit for bit."""
+    pt = np.asarray(points, dtype=float)
+    x1, x2 = pt[..., 0, None, None], pt[..., 1, None]
+    rows = p._stack
+    acc = rows[-1] + x1 * 0.0
+    for row in rows[-2::-1]:
+        acc = row + acc * x1
+    out = acc[..., -1, :] + x2 * 0.0
+    for j in range(p.degree - 1, -1, -1):
+        out = acc[..., j, :] + out * x2
+    return out
+
+
 def evaluate(p: TotalDegreePolynomial, point):
     """Value of p at one point or an array of points with shape (..., 2)."""
-    pt = np.asarray(point, dtype=float)
-    out = npp.polyval2d(pt[..., 0], pt[..., 1], p.square)
+    out = _value_and_gradient(p, point)[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
 def gradient(p: TotalDegreePolynomial, point):
     """Analytic gradient, same shape conventions as evaluate."""
-    pt = np.asarray(point, dtype=float)
-    if p.degree == 0:
-        return np.zeros_like(pt)
-    g1 = npp.polyval2d(pt[..., 0], pt[..., 1], p._dx)
-    g2 = npp.polyval2d(pt[..., 0], pt[..., 1], p._dy)
-    return np.stack([g1, g2], axis=-1)
+    return _value_and_gradient(p, point)[..., 1:]
 
 
 def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
@@ -120,10 +141,14 @@ def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
 
 @dataclass(frozen=True)
 class SupNormCertificate:
-    """Sup-norm of p over the simplex from below: value is |p| at a point of the simplex."""
+    """value <= ||p|| <= upper on the simplex: |p| at a vertex, edge critical point,
+    grid node or polished interior point, and the largest |Bezier ordinate|.
+    value == upper: the hull proved the boundary maximum to be the norm, no grid
+    ran, and grid_resolution is the m it would have used."""
 
     value: float
     grid_resolution: int
+    upper: float
 
 
 @lru_cache(maxsize=32)
@@ -139,6 +164,7 @@ def _grid(n: int, m: int):
 # edge e of the simplex is {origin[e] + t dir[e] : 0 <= t <= 1}: x2 = 0, x1 = 0, x2 = 1 - x1
 _EDGE_ORIGIN = np.array([[[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
 _EDGE_DIR = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]])
+_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @lru_cache(maxsize=32)
@@ -206,28 +232,52 @@ def _interior_polish(p: TotalDegreePolynomial, starts: np.ndarray) -> np.ndarray
     return pts[_inside(pts) & np.isfinite(pts).all(axis=1)]
 
 
-def sup_norm_simplex(p: TotalDegreePolynomial, grid_resolution=None) -> SupNormCertificate:
-    """Grid maximum of |p| on the simplex, refined on faces and in the interior.
+@lru_cache(maxsize=32)
+def _bezier_map(n: int) -> np.ndarray:
+    """B with coeffs @ B the Bezier ordinates of p, the three vertex values left out.
 
-    Resolution m defaults to max(64, 8 n^2) per side.  The grid values are one
-    tensor product A @ c @ A.T over the (m+1)^2 nodes (k/m, l/m), restricted to
-    the simplex by indices cached per (degree, m).  Edge maxima are exact: the
-    vertices are grid nodes and the other candidates are the real derivative
-    roots of p on each edge.  Newton polishes the ten best strictly interior
-    nodes toward critical points.  p itself (polyval2d) is evaluated at the
-    edge roots and polished points, so no expanded edge polynomial rounds the
-    value.  It is a lower bound on the true sup-norm and refinement never
-    decreases it.
+    x1^i x2^j is the sum over a >= i, b >= j of C(a, i) C(b, j) / multinomial(n;
+    i, j, n - i - j) times the Bernstein polynomial of x1^a x2^b x3^(n-a-b).
     """
-    m = grid_resolution or max(64, 8 * p.degree * p.degree)
-    A, nodes, n_int = _grid(p.degree, m)
+    comb = np.vectorize(math.comb, otypes=[float])
+    ij = np.argwhere(_triangle(n))  # the flat order, of monomials and of ordinates
+    a, b = ij[(ij.sum(axis=1) > 0) & (ij.max(axis=1) < n)].T  # not (0, 0), (n, 0), (0, n)
+    i, j = ij.T[:, :, None]
+    return comb(a, i) * comb(b, j) / (comb(n, i) * comb(n - i, j))
+
+
+def sup_norm_simplex(p: TotalDegreePolynomial, grid_resolution=None) -> SupNormCertificate:
+    """Sup-norm of p on the simplex from below, with the Bezier upper bound.
+
+    The boundary maximum is exact: |p| at the vertices and at the real roots of
+    p's derivative along each edge.  If no |Bezier ordinate| exceeds it, it is
+    the norm (convex hull), and value == upper.  Otherwise the value is the
+    largest of a grid maximum, |p| at the edge roots and |p| at the ten best
+    interior nodes after Newton polish toward critical points.  The grid, with
+    m = grid_resolution (a positive int) or max(64, 8 n^2) lines per side, is
+    one tensor product A @ c @ A.T over the nodes (k/m, l/m), restricted to the
+    simplex by indices cached per (degree, m); it holds the vertices.
+    Refinement never lowers the value.
+    """
+    n = p.degree
+    m = max(64, 8 * n * n) if grid_resolution is None else grid_resolution
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError("grid_resolution must be None or a positive integer")
+    m = int(m)
+    edge = _edge_candidates(p)
+    on_boundary = np.abs(_value_and_gradient(p, np.concatenate([_VERTICES, edge]))[:, 0])
+    boundary = float(on_boundary.max())
+    upper = float(np.abs(p.coeffs @ _bezier_map(n)).max(initial=0.0))
+    if not upper > boundary:
+        return SupNormCertificate(value=boundary, grid_resolution=m, upper=boundary)
+    A, nodes, n_int = _grid(n, m)
     vals = np.abs((A @ p.square @ A.T).ravel()[nodes])
     top = nodes[np.argpartition(vals[:n_int], -10)[-10:]] if n_int > 10 else nodes[:n_int]
     starts = np.stack(np.divmod(top, m + 1), axis=1) / m
-    cand = np.concatenate([_edge_candidates(p), _interior_polish(p, starts)])
-    refined = np.abs(npp.polyval2d(cand[:, 0], cand[:, 1], p.square))
-    return SupNormCertificate(value=float(max(vals.max(), refined.max(initial=0.0))),
-                              grid_resolution=m)
+    polished = np.abs(_value_and_gradient(p, _interior_polish(p, starts))[:, 0])
+    # the vertices are grid nodes; their second evaluation stays out of the max
+    value = max(vals.max(), on_boundary[3:].max(initial=0.0), polished.max(initial=0.0))
+    return SupNormCertificate(value=float(value), grid_resolution=m, upper=upper)
 
 
 def bernstein_ratio(p: TotalDegreePolynomial, x, y, certificate=None) -> float:
@@ -302,12 +352,13 @@ def verify_upper_bound(degree: int, trials: int, seed: int) -> dict:
         phi = rng.uniform(0.0, math.pi)
         y = np.array([math.cos(phi), math.sin(phi)])
         cert = sup_norm_simplex(p)
-        px = evaluate(p, x)
+        vg = _value_and_gradient(p, x)
+        px = float(vg[0])
         den2 = cert.value * cert.value - px * px
         if den2 <= 0.0:
             quotients[i] = math.inf
         else:
-            ratio = abs(float(gradient(p, x) @ y)) / (degree * math.sqrt(den2))
+            ratio = abs(float(vg[1:] @ y)) / (degree * math.sqrt(den2))
             quotients[i] = ratio / float(baran_derivative(x, y))
         if quotients[i] > 1.0 + _SLACK:
             violations.append(
@@ -348,11 +399,12 @@ def _transplant_catalog(n: int):
 
 
 def _cloud_sample(p, x, n, norm):
-    px = evaluate(p, x)
+    vg = _value_and_gradient(p, x)
+    px = float(vg[0])
     den2 = norm * norm - px * px
     if den2 <= 1e-15 * norm * norm:
         return None
-    return GradientSample(x=x, vector=gradient(p, x) / (n * math.sqrt(den2)))
+    return GradientSample(x=x, vector=vg[1:] / (n * math.sqrt(den2)))
 
 
 def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):

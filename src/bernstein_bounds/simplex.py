@@ -32,9 +32,8 @@ def check_interior(x, margin: float = _MARGIN):
     x = _as_points(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("point must be finite")
-    with np.errstate(over="ignore"):  # a sum that overflows to inf fails the check below
-        s = np.sum(x, axis=-1)
-    if np.any(np.min(x, axis=-1) <= margin) or np.any(1.0 - s <= margin):
+    # coordinates in (margin, 1) cannot overflow the sum
+    if np.any((x <= margin) | (x >= 1.0)) or np.any(1.0 - np.sum(x, axis=-1) <= margin):
         raise ValueError("point is not strictly interior to the simplex")
     return x
 

@@ -365,6 +365,28 @@ def test_compare_json_bytes_match_row_dicts(tmp_path):
     assert out.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(min_value=4, max_value=14),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([0.0, 1e-3, 0.05, 0.2, 0.3]),
+)
+@example(grid=5, dirs=3, margin=0.3)  # a single interior point
+def test_compare_json_layout_matches_json_dumps(tmp_path, grid, dirs, margin):
+    """The JSON rows are written by one %r template per row; every layout must
+    give the bytes of json.dumps over the row dicts."""
+    try:
+        table, summary = cli.comparison_sweep(grid, dirs, margin)
+    except ValueError:  # the margin leaves no interior point
+        assume(False)
+    out = tmp_path / "p.json"
+    argv = ["compare", "--grid", str(grid), "--dirs", str(dirs), "--margin", repr(margin)]
+    assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+    rows = [dict(zip(cli.COMPARE_COLUMNS, row)) for row in table.tolist()]
+    meta = {"grid": grid, "dirs": dirs, "margin": margin, "summary": summary}
+    assert out.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
+
+
 def _child_env():
     # the child finds the package where this process imported it from
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -93,6 +93,8 @@ def test_sup_norm_interior_maximum_is_polished():
     p = pl.TotalDegreePolynomial(3, coeffs)
     cert = pl.sup_norm_simplex(p)
     assert cert.value == pytest.approx(1.0 / 27.0, rel=1e-10)
+    # x1 x2 x3 = B_111 / 6: its one nonzero Bezier ordinate, 1/6, leaves the hull unsettled
+    assert cert.upper == pytest.approx(1.0 / 6.0, rel=1e-15)
 
 
 def test_sup_norm_is_a_lower_bound_that_refinement_cannot_exceed():
@@ -203,6 +205,125 @@ def test_sup_norm_of_constant_edges_and_tiny_grids():
     t = (2.0 - math.sqrt(2.8)) / 0.6
     want = t * (1.0 - t) + 0.1 * t**3
     assert pl.sup_norm_simplex(p, grid_resolution=3).value == pytest.approx(want, rel=1e-14)
+
+
+def _bezier_ordinates(p):
+    """{(a, b): ordinate} from pl._bezier_map, with the three vertex values put back."""
+    n = p.degree
+    vertex = {(0, 0): [0.0, 0.0], (n, 0): [1.0, 0.0], (0, n): [0.0, 1.0]}
+    inner = iter((p.coeffs @ pl._bezier_map(n)).tolist())
+    out = {}
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            out[a, b] = pl.evaluate(p, vertex[a, b]) if (a, b) in vertex else next(inner)
+    assert next(inner, None) is None
+    return out
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_bezier_ordinates_reproduce_p(n):
+    """sum b_abc B_abc(x), with B_abc = n!/(a! b! c!) x1^a x2^b x3^c, is p(x)."""
+    rng = np.random.default_rng(60 + n)
+    p = pl.random_polynomial(n, rng)
+    ords = _bezier_ordinates(p)
+    scale = sum(abs(b) for b in ords.values())
+    for x1, x2 in rng.dirichlet(np.ones(3), size=50)[:, :2].tolist():
+        x3 = 1.0 - x1 - x2
+        got = sum(b * math.comb(n, a) * math.comb(n - a, bb) * x1**a * x2**bb * x3 ** (n - a - bb)
+                  for (a, bb), b in ords.items())
+        assert abs(got - pl.evaluate(p, [x1, x2])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_hull_settles_most_random_norms(n):
+    """No ordinate above the boundary maximum: the norm is that maximum, value == upper."""
+    rng = np.random.default_rng(70 + n)
+    certs = [pl.sup_norm_simplex(pl.random_polynomial(n, rng)) for _ in range(200)]
+    settled = np.mean([c.value == c.upper for c in certs])
+    assert settled == 1.0 if n < 2 else settled >= 0.6
+    assert all(c.grid_resolution == max(64, 8 * n * n) for c in certs)
+
+
+@pytest.mark.parametrize(
+    "square",
+    [
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # x1 + x2: an ordinate ties the max
+        [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # a constant of degree 2
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # x2^2, largest at a vertex
+    ],
+)
+def test_hull_branch_runs_no_grid(monkeypatch, square):
+    def no_grid(*args):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(pl, "_grid", no_grid)
+    monkeypatch.setattr(pl, "_interior_polish", no_grid)
+    p = pl.TotalDegreePolynomial.from_square(2, np.array(square))
+    cert = pl.sup_norm_simplex(p)
+    assert cert.value == cert.upper == max(abs(b) for b in _bezier_ordinates(p).values())
+
+
+_DENSE = 400
+_K, _L = np.divmod(np.arange((_DENSE + 1) ** 2), _DENSE + 1)
+_DENSE_NODES = np.stack([_K, _L], axis=1)[_K + _L <= _DENSE] / _DENSE
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+def test_certificate_brackets_a_dense_sample(n, seed):
+    p = pl.random_polynomial(n, np.random.default_rng(seed))
+    cert = pl.sup_norm_simplex(p)
+    dense = np.abs(npp.polyval2d(_DENSE_NODES[:, 0], _DENSE_NODES[:, 1], p.square)).max()
+    assert dense <= cert.upper * (1.0 + 1e-12)
+    assert cert.value <= cert.upper
+
+
+_coordinates = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([(), (5,), (3, 4)]),
+    st.data(),
+)
+def test_value_and_gradient_is_polyval2d_bitwise(n, seed, lead, data):
+    p = pl.random_polynomial(n, np.random.default_rng(seed))
+    size = int(np.prod(lead, dtype=int)) * 2
+    flat = data.draw(st.lists(_coordinates, min_size=size, max_size=size))
+    pts = np.array(flat).reshape(*lead, 2)
+    got = pl._value_and_gradient(p, pts)
+    assert got.shape == (*lead, 3)
+    for k, c in enumerate((p.square, p._dx, p._dy)):
+        assert np.array_equal(got[..., k], npp.polyval2d(pts[..., 0], pts[..., 1], c))
+
+
+def test_degree_zero_gradient_is_zero():
+    p = pl.TotalDegreePolynomial(0, np.array([-2.5]))
+    pts = np.random.default_rng(3).uniform(size=(4, 2))
+    assert np.array_equal(pl._value_and_gradient(p, pts), np.tile([-2.5, 0.0, 0.0], (4, 1)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_are_refused(bad):
+    coeffs = np.ones(6)
+    coeffs[4] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        pl.TotalDegreePolynomial(2, coeffs)
+
+
+@pytest.mark.parametrize("m", [-3, 0, 2.5, 3.0, "64", np.float64(8.0)])
+def test_grid_resolution_must_be_a_positive_int(m):
+    with pytest.raises(ValueError, match="grid_resolution"):
+        pl.sup_norm_simplex(pl.TotalDegreePolynomial(3, np.arange(10.0)), grid_resolution=m)
+
+
+@pytest.mark.parametrize("m", [None, 1, 7, np.int64(9)])
+def test_grid_resolution_is_reported(m):
+    cert = pl.sup_norm_simplex(pl.TotalDegreePolynomial(3, np.arange(10.0)), grid_resolution=m)
+    assert cert.grid_resolution == (72 if m is None else m)
+    assert type(cert.grid_resolution) is int
 
 
 def test_bernstein_ratio_linear_at_centroid():
