@@ -27,7 +27,7 @@ print("point            alpha     tau(0)    gamma     E(x,e1)   D+V(x,e1)   prod
 for x in points:
     a = sx.alpha_simplex(x)
     t = sx.tau_simplex(0.0)
-    g, phi = geo.gamma(tri, x, return_angle=True)
+    g = geo.gamma(tri, x)
     e = sx.ellipse_constant_dir(x, [1.0, 0.0])
     d = sx.baran_derivative(x, [1.0, 0.0])
     print(f"({x[0]:.3f},{x[1]:.3f})   {a:.5f}   {t:.5f}   {g:.5f}   {e:.6f}  {d:.6f}    {e * d:.12f}")

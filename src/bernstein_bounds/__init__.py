@@ -9,24 +9,18 @@ from .geometry import (
     ConvexPolygon,
     PolygonFormatError,
     alpha,
-    chord_balance,
-    difference_body,
     gamma,
     load_polygon,
     maximal_chord,
     min_width,
-    minkowski_gauge,
     parse_polygon_text,
-    support,
     unit_triangle,
-    width,
 )
 from .simplex import (
     alpha_simplex,
     baran_derivative,
     ellipse_constant,
     ellipse_constant_dir,
-    equilibrium_density,
     kr_bound_dir,
     siciak_extremal,
     tau_simplex,
@@ -37,7 +31,6 @@ from .ellipse import (
     best_ellipse,
     best_ellipse_all_dirs,
     containment_violation,
-    ellipse_in_polygon,
 )
 from .kernels import (
     DirectionalBoundTable,
@@ -47,7 +40,6 @@ from .kernels import (
     kernel_area_closed,
     kernel_ellipse_closed_form,
     kernel_intersect,
-    kernel_max_norm,
 )
 from .polynomials import (
     GradientSample,

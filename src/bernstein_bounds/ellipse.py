@@ -57,14 +57,6 @@ class InscribedEllipse:
     def center(self) -> np.ndarray:
         return self.x - self.a
 
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return (
-            np.cos(t)[..., None] * self.a
-            + (self.b * np.sin(t))[..., None] * self.y
-            + self.center
-        )
-
 
 @dataclass(frozen=True)
 class EllipseSolveReport:
@@ -76,16 +68,18 @@ class EllipseSolveReport:
 
 
 def containment_violation(e: InscribedEllipse, K: ConvexPolygon) -> float:
-    """Max over edges of how far the ellipse pokes out of K (<= 0 means inside)."""
+    """Max over edges of how far the ellipse pokes out of K (<= 0 means inside).
+
+    The half-width of the ellipse along n_e is taken in K's units of 2^k, so
+    its squares cannot over- or underflow.
+    """
     n, c = K.edge_normals()
-    na = n @ e.a
+    k = K.unit_exp
+    na = np.ldexp(n @ e.a, -k)
     ny = n @ e.y
-    reach = n @ e.center + np.sqrt(na * na + e.b * e.b * ny * ny)
+    b = math.ldexp(e.b, -k)
+    reach = n @ e.center + np.ldexp(np.sqrt(na * na + b * b * ny * ny), k)
     return float(np.max(reach - c))
-
-
-def ellipse_in_polygon(e: InscribedEllipse, K: ConvexPolygon) -> bool:
-    return containment_violation(e, K) <= 1e-9  # rounding forgiven past an edge
 
 
 def _triple_sums(n, s, q):
@@ -155,12 +149,14 @@ def best_ellipse_all_dirs(K: ConvexPolygon, x, n_dirs: int = 256) -> float:
     """Direction-free constant E(K, x): the minimum of best_ellipse over unit y.
 
     E^2 is the least sum mu_e s_e^2 / lambda_max(M), M = sum mu_e n_e n_e^T,
-    over the feasible edge triples, with lambda_max of the 2x2 M in closed form.
-    n_dirs is unused; it is kept so that callers passing it keep working.
+    over the feasible edge triples, with lambda_max of the 2x2 M in closed form,
+    and the slacks s_e in K's units of 2^k, so that the sums of s^6 neither
+    overflow nor underflow.  n_dirs is unused; it is kept so that callers
+    passing it keep working.
     """
     x = require_interior(K, x)
     n, c = K.edge_normals()
-    s = c - n @ x
+    s = np.ldexp(c - n @ x, -K.unit_exp)
     # per edge: the entries n1^2, n1 n2, n2^2 of n n^T, and s^2
     q = np.column_stack([n[:, 0] ** 2, n[:, 0] * n[:, 1], n[:, 1] ** 2, s * s])
     best = math.inf
@@ -168,4 +164,4 @@ def best_ellipse_all_dirs(K: ConvexPolygon, x, n_dirs: int = 256) -> float:
         A, B, C, S = sums.T
         lam_max = 0.5 * (A + C) + np.hypot(0.5 * (A - C), B)
         best = min(best, float(np.min(S / lam_max, initial=math.inf)))
-    return math.sqrt(best)
+    return math.ldexp(math.sqrt(best), K.unit_exp)

@@ -1,8 +1,8 @@
-"""Planar convex-body primitives: polygons, support data, chords, and the
+"""Planar convex-body primitives: polygons, their edge lines, chords, and the
 generalized Minkowski functional alpha(K, x).
 
-Polygons are stored as CCW vertex arrays.  All directional quantities accept
-plain unit vectors.
+Polygons are stored as CCW vertex arrays; every chord query reads the edge
+lines n_e . p = c_e.  All directional quantities accept plain unit vectors.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ class ConvexPolygon:
     e_i x e_(i+1) at each vertex must be >= -1e-9 |e_i| |e_(i+1)|, so the test
     does not depend on the polygon's size or position).  The vertices are a
     read-only copy, so the cached edge lines and diameter cannot go stale.
+
+    unit_exp is the k with max|v| in [2^(k-1), 2^k).  The validation, the edge
+    normals, the diameter and the ellipse layer's squares are taken in units of
+    2^k, scaled by np.ldexp, which is exact: coordinates of any finite size
+    give the same digits, and no square of a length of K over- or underflows.
     """
 
     vertices: np.ndarray
@@ -41,34 +46,30 @@ class ConvexPolygon:
             raise ValueError("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
-        e = np.roll(v, -1, axis=0) - v
+        top, k = math.frexp(float(np.max(np.abs(v))))  # max|v| = top * 2^k
+        u = np.ldexp(v, -k)
+        e = np.roll(u, -1, axis=0) - u
         length = np.hypot(e[:, 0], e[:, 1])
-        if np.any(length <= 1e-14 * np.max(np.abs(v))):
+        if np.any(length <= 1e-14 * top):
             raise ValueError("two consecutive vertices coincide")
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
         if np.any(cross < -1e-9 * length * np.roll(length, -1)):
             raise ValueError("vertices are not in convex CCW order")
-        if _shoelace(v) <= 0.0:
+        if _shoelace(u) <= 0.0:
             raise ValueError("polygon has nonpositive area; is it CW?")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "unit_exp", k)
 
     @property
     def area(self) -> float:
         return _shoelace(self.vertices)
 
-    @property
-    def centroid(self) -> np.ndarray:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        return (v + w).T @ cr / (6.0 * self.area)
-
     @cached_property
     def diameter(self) -> float:
-        v = self.vertices
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-        return math.sqrt(float(np.max(d2)))
+        u = np.ldexp(self.vertices, -self.unit_exp)
+        d2 = np.sum((u[:, None, :] - u[None, :, :]) ** 2, axis=-1)
+        return float(np.ldexp(math.sqrt(float(np.max(d2))), self.unit_exp))
 
     def edge_normals(self):
         """Outward unit normals and offsets: K = {p : n_i . p <= c_i} (read-only)."""
@@ -77,7 +78,7 @@ class ConvexPolygon:
     @cached_property
     def _edge_lines(self):
         v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
+        e = np.ldexp(np.roll(v, -1, axis=0) - v, -self.unit_exp)
         n = np.stack([e[:, 1], -e[:, 0]], axis=1)
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         c = np.sum(n * v, axis=1)
@@ -119,16 +120,6 @@ def unit_direction(y) -> np.ndarray:
     return y / length
 
 
-def support(K: ConvexPolygon, u) -> float:
-    """Support function h(K, u) = max over vertices of <v, u>, for u scaled to unit length."""
-    return float(np.max(K.vertices @ unit_direction(u)))
-
-
-def width(K: ConvexPolygon, u) -> float:
-    h = K.vertices @ unit_direction(u)
-    return float(np.max(h) - np.min(h))
-
-
 def _edge_widths(K: ConvexPolygon) -> np.ndarray:
     """Width w_e = c_e - min_k <n_e, v_k> of K across each edge line n_e . p = c_e."""
     n, c = K.edge_normals()
@@ -138,27 +129,6 @@ def _edge_widths(K: ConvexPolygon) -> np.ndarray:
 def min_width(K: ConvexPolygon) -> float:
     """Minimal width min_e w_e: for a polygon the minimizing direction is an edge normal."""
     return float(np.min(_edge_widths(K)))
-
-
-def difference_body(K: ConvexPolygon) -> ConvexPolygon:
-    """Central symmetrization K + (-K), built by merging edge vectors by angle.
-
-    The chord queries read its polar from K's edge lines instead, so this
-    explicit body is a second route to them.
-    """
-    v = K.vertices
-    e = np.roll(v, -1, axis=0) - v
-    edges = np.vstack([e, -e])  # CCW edges of -K are the negated edges of K
-    ang = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * math.pi)
-    order = np.argsort(ang, kind="stable")
-    start = _lowest_vertex(v) + _lowest_vertex(-v)
-    chain = start + np.cumsum(edges[order], axis=0)
-    return ConvexPolygon(np.vstack([start, chain[:-1]]))
-
-
-def _lowest_vertex(v) -> np.ndarray:
-    i = np.lexsort((v[:, 0], v[:, 1]))[0]
-    return v[i]
 
 
 def _ray_hits(K: ConvexPolygon, origin, dirs) -> np.ndarray:
@@ -184,20 +154,6 @@ def maximal_chord(K: ConvexPolygon, v):
     return out if out.ndim else float(out)
 
 
-def minkowski_gauge(K: ConvexPolygon, x) -> float:
-    """Gauge inf{t > 0 : x in t*K} = max_e <n_e, x> / c_e.
-
-    The origin's slack min_e c_e must exceed 1e-12 diam K, and x must be finite.
-    """
-    n, c = K.edge_normals()
-    if np.min(c) <= _BOUNDARY_TOL * K.diameter:
-        raise ValueError("gauge needs the origin strictly interior to K")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point must be finite")
-    return float(np.max(n @ x / c))
-
-
 def chord_balance(K: ConvexPolygon, x, thetas) -> np.ndarray:
     """2 sqrt(|x-a||x-b|) / |a-b| for the chord through x at each angle."""
     x = require_interior(K, x)
@@ -210,8 +166,8 @@ def chord_balance(K: ConvexPolygon, x, thetas) -> np.ndarray:
     return 2.0 * np.sqrt(tp * tm) / (tp + tm)
 
 
-def gamma(K: ConvexPolygon, x, return_angle: bool = False):
-    """Infimum of the chord balance over all chord angles, and its angle mod pi.
+def gamma(K: ConvexPolygon, x) -> float:
+    """Infimum of the chord balance over all chord angles.
 
     Between consecutive vertex directions arg(v_k - x) mod pi the chord through
     x ends on two fixed edges i and j, and the ratio of its halves, rho = s_i
@@ -220,13 +176,9 @@ def gamma(K: ConvexPolygon, x, return_angle: bool = False):
     is quasi-concave in rho, so on each arc it is least at a vertex chord.
     """
     x = require_interior(K, x)
-    d = K.vertices - x
-    rho = _ray_hits(K, x, -d)  # in units of |v_k - x| the front half is 1
+    rho = _ray_hits(K, x, x - K.vertices)  # in units of |v_k - x| the front half is 1
     vals = 2.0 * np.sqrt(rho) / (1.0 + rho)
-    k = int(np.argmin(vals))
-    if return_angle:
-        return float(vals[k]), math.atan2(d[k, 1], d[k, 0]) % math.pi
-    return float(vals[k])
+    return float(np.min(vals))
 
 
 def alpha(K: ConvexPolygon, x) -> float:
@@ -298,4 +250,8 @@ def parse_polygon_text(text: str) -> ConvexPolygon:
 
 def load_polygon(path) -> ConvexPolygon:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_polygon_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:  # a ValueError, but a parse failure, not a domain error
+            raise PolygonFormatError(f"{path}: not UTF-8 text") from None
+    return parse_polygon_text(text)

@@ -190,11 +190,6 @@ class KernelEllipse:
     def area(self) -> float:
         return math.pi * self.mu * self.nu
 
-    def quadratic_form(self, v):
-        v = np.asarray(v, dtype=float)
-        u1, u2 = v[..., 0], v[..., 1]
-        return self.A * u1 * u1 + self.B * u2 * u2 - self.C * u1 * u2
-
     def boundary(self, n: int = 256) -> np.ndarray:
         t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         ca, sa = math.cos(self.angle), math.sin(self.angle)
@@ -224,11 +219,6 @@ def kernel_area_closed(x):
     x = check_interior(x)
     x1, x2 = x[..., 0], x[..., 1]
     return math.pi / np.sqrt(x1 * x2 * (1.0 - x1 - x2))
-
-
-def kernel_max_norm(x) -> float:
-    """Largest |v| over the kernel ellipse, i.e. the major half-axis nu."""
-    return kernel_ellipse_closed_form(x).nu
 
 
 def region_to_csv(vertices: np.ndarray) -> str:

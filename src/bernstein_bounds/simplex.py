@@ -11,8 +11,6 @@ against them, and scalars come back for scalar input.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import unit_direction
@@ -27,13 +25,17 @@ def _as_points(x, dtype=float):
     return x
 
 
-def check_interior(x, margin: float = _MARGIN):
-    """Validate that each point is strictly inside the open simplex."""
+def check_interior(x):
+    """Validate that each point is strictly inside the open simplex.
+
+    Every barycentric coordinate, 1 - sum x included, must exceed the fixed
+    margin _MARGIN = 1e-12.
+    """
     x = _as_points(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("point must be finite")
-    # coordinates in (margin, 1) cannot overflow the sum
-    if np.any((x <= margin) | (x >= 1.0)) or np.any(1.0 - np.sum(x, axis=-1) <= margin):
+    # coordinates in (_MARGIN, 1) cannot overflow the sum
+    if np.any((x <= _MARGIN) | (x >= 1.0)) or np.any(1.0 - np.sum(x, axis=-1) <= _MARGIN):
         raise ValueError("point is not strictly interior to the simplex")
     return x
 
@@ -121,12 +123,3 @@ def siciak_extremal(z):
     if not np.all(np.isfinite(out)):
         raise ValueError("point must be finite and small enough that V does not overflow")
     return out if out.ndim else float(out)
-
-
-def equilibrium_density(x):
-    """Density 2*pi / sqrt(x1 x2 x3) of the simplex equilibrium measure."""
-    x = check_interior(x)
-    if x.shape[-1] != 2:
-        raise ValueError("closed form is for the planar simplex")
-    x1, x2 = x[..., 0], x[..., 1]
-    return 2.0 * math.pi / np.sqrt(x1 * x2 * (1.0 - x1 - x2))

@@ -25,11 +25,18 @@ def test_alpha_subcommand(tri_file, capsys):
     assert capsys.readouterr().out.strip() == "0.5"
 
 
-def test_alpha_parse_failure_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "raw,needle",
+    [(b"not a polygon\n", "line 1"), (b"\xff\xfe0 0\n1 0\n0 1\n", "not UTF-8")],
+    ids=["bad-line", "not-utf8"],
+)
+def test_alpha_parse_failure_is_exit_2(tmp_path, capsys, raw, needle):
+    """An undecodable file is a parse failure too, though UnicodeDecodeError is
+    a ValueError, which the CLI reports as a domain error."""
     bad = tmp_path / "bad.txt"
-    bad.write_text("not a polygon\n")
+    bad.write_bytes(raw)
     assert cli.main(["alpha", str(bad), "0.2", "0.2"]) == 2
-    assert "line 1" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 def test_alpha_non_convex_sliver_is_exit_2(tmp_path, capsys):

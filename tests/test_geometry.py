@@ -11,6 +11,8 @@ from bernstein_bounds import kernels as ker
 from bernstein_bounds import polynomials as pl
 from bernstein_bounds import simplex as sx
 
+import routes
+
 TRI = geo.unit_triangle()
 SQUARE = geo.ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
@@ -18,7 +20,7 @@ SQUARE = geo.ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1
 def test_triangle_basic_quantities():
     assert TRI.area == pytest.approx(0.5, abs=1e-15)
     assert TRI.diameter == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert np.allclose(TRI.centroid, [1 / 3, 1 / 3])
+    assert np.allclose(routes.centroid(TRI), [1 / 3, 1 / 3])
 
 
 def test_polygon_rejects_clockwise():
@@ -62,17 +64,17 @@ def test_polygon_rejects_reflex_vertex_of_a_sliver():
 )
 def test_triangle_support(u, expected):
     u = np.asarray(u) / np.linalg.norm(u)
-    assert geo.support(TRI, u) == pytest.approx(expected, abs=1e-12)
+    assert routes.support(TRI, u) == pytest.approx(expected, abs=1e-12)
 
 
 def test_triangle_widths():
-    assert geo.width(TRI, np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+    assert routes.width(TRI, np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
     w = geo.min_width(TRI)
     assert w == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
 
 
 def test_difference_body_is_symmetric_hexagon():
-    D = geo.difference_body(TRI)
+    D = routes.difference_body(TRI)
     v = D.vertices
     assert len(v) == 6
     assert D.area == pytest.approx(3.0, abs=1e-12)  # 6x the triangle area
@@ -81,7 +83,7 @@ def test_difference_body_is_symmetric_hexagon():
 
 
 def test_difference_body_of_symmetric_body_doubles_it():
-    D = geo.difference_body(SQUARE)
+    D = routes.difference_body(SQUARE)
     # square is symmetric about its center, so K + (-K) = 2K - 2c
     assert D.area == pytest.approx(4.0 * SQUARE.area, abs=1e-12)
     for phi in (0.0, 0.3, 1.1, 2.9):
@@ -115,8 +117,8 @@ _CENTROID = np.array([1 / 3, 1 / 3])
         lambda y: sx.baran_derivative(_CENTROID, y),
         lambda y: sx.ellipse_constant_dir(_CENTROID, y),
         lambda y: pl.bernstein_ratio(_LINEAR, _CENTROID, y, 1.0),
-        lambda y: geo.support(TRI, y),
-        lambda y: geo.width(TRI, y),
+        lambda y: routes.support(TRI, y),
+        lambda y: routes.width(TRI, y),
     ],
     ids=["unit_direction", "maximal_chord", "best_ellipse", "baran_derivative",
          "ellipse_constant_dir", "bernstein_ratio", "support", "width"],
@@ -140,22 +142,22 @@ def test_angle_and_point_checks():
     C = geo.ConvexPolygon(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="point must be finite"):
-            geo.minkowski_gauge(C, np.array([bad, 0.0]))
+            routes.minkowski_gauge(C, np.array([bad, 0.0]))
         with pytest.raises(ValueError, match="angle must be finite"):
             geo.chord_balance(TRI, _CENTROID, [bad])
 
 
 def test_gauge_on_centered_square():
     C = geo.ConvexPolygon(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
-    assert geo.minkowski_gauge(C, np.array([0.5, 0.0])) == pytest.approx(0.5, abs=1e-12)
-    assert geo.minkowski_gauge(C, np.array([0.7, 0.7])) == pytest.approx(0.7, abs=1e-12)
-    assert geo.minkowski_gauge(C, np.zeros(2)) == 0.0
+    assert routes.minkowski_gauge(C, np.array([0.5, 0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert routes.minkowski_gauge(C, np.array([0.7, 0.7])) == pytest.approx(0.7, abs=1e-12)
+    assert routes.minkowski_gauge(C, np.zeros(2)) == 0.0
 
 
 def test_gauge_requires_origin_inside():
     shifted = geo.ConvexPolygon(np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError):
-        geo.minkowski_gauge(shifted, np.array([1.5, 1.2]))
+        routes.minkowski_gauge(shifted, np.array([1.5, 1.2]))
 
 
 def test_chord_balance_is_one_at_symmetric_center():
@@ -175,8 +177,9 @@ def test_gamma_quarter_point():
 def test_gamma_centroid_matches_simplex_alpha():
     a = geo.alpha(TRI, np.array([1 / 3, 1 / 3]))
     assert a == pytest.approx(1 / 3, abs=1e-12)
-    g, ang = geo.gamma(TRI, np.array([1 / 3, 1 / 3]), return_angle=True)
+    g = geo.gamma(TRI, np.array([1 / 3, 1 / 3]))
     assert g == pytest.approx(math.sqrt(8.0) / 3.0, abs=1e-12)
+    ang = routes.gamma_angle(TRI, np.array([1 / 3, 1 / 3]))
     assert 0.0 <= ang < math.pi
     # the minimizing chord runs through a vertex, and its balance is g
     assert geo.chord_balance(TRI, np.array([1 / 3, 1 / 3]), ang)[0] == pytest.approx(g, abs=1e-12)
@@ -198,13 +201,34 @@ def test_require_interior_rejects_boundary_and_outside():
         geo.require_interior(TRI, np.array([math.nan, 0.2]))
 
 
-@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("s", [1e-300, 1e-6, 1.0, 1e6, 1e300])
 def test_require_interior_verdict_is_scale_invariant(s):
     K = geo.ConvexPolygon(s * TRI.vertices)
     with pytest.raises(ValueError):
         geo.require_interior(K, s * np.array([0.25, 3e-13]))  # slack 3e-13 s
     inside = s * np.array([0.25, 1e-10])
     assert np.array_equal(geo.require_interior(K, inside), inside)
+
+
+def _polygon_answers(K, x, u):
+    """alpha, b, E, min width, tau, diameter and the witness residual at x."""
+    report = el.best_ellipse(K, x, u)
+    return np.array([
+        geo.alpha(K, x), report.best_b, el.best_ellipse_all_dirs(K, x), geo.min_width(K),
+        geo.maximal_chord(K, u), K.diameter,
+    ]), report.feasibility_residual
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-120, 1e-80, 1e80, 1e120, 1e300])
+def test_polygon_answers_are_scale_invariant(s):
+    """The polygon works in units of 2^k, so no square or s^6 sum of its edges
+    and slacks over- or underflows, and every answer scales with s."""
+    x, u = np.array([0.2, 0.2]), np.array([0.6, 0.8])
+    want, _ = _polygon_answers(TRI, x, u)
+    got, residual = _polygon_answers(geo.ConvexPolygon(s * TRI.vertices), s * x, u)
+    scale = np.array([1.0, s, s, s, s, s])
+    np.testing.assert_allclose(got / scale, want, rtol=1e-14)
+    assert residual / s <= 1e-12
 
 
 @pytest.mark.parametrize("s", [1e-15, 1.0, 1e15])
@@ -214,10 +238,10 @@ def test_polygon_and_gauge_verdicts_are_scale_invariant(s):
     with pytest.raises(ValueError, match="coincide"):
         geo.ConvexPolygon(s * short)
     C = geo.ConvexPolygon(s * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
-    assert geo.minkowski_gauge(C, s * np.array([0.5, 0.25])) == pytest.approx(0.5, rel=1e-15)
+    assert routes.minkowski_gauge(C, s * np.array([0.5, 0.25])) == pytest.approx(0.5, rel=1e-15)
     edge = geo.ConvexPolygon(s * np.array([[-1.0, -1e-13], [1.0, -1e-13], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="origin strictly interior"):
-        geo.minkowski_gauge(edge, s * np.array([0.0, 0.5]))  # slack 1e-13 s
+        routes.minkowski_gauge(edge, s * np.array([0.0, 0.5]))  # slack 1e-13 s
 
 
 def test_polygon_below_coordinate_rounding_is_rejected():
@@ -284,7 +308,7 @@ def test_chord_order_on_random_hulls(seed, phi):
     tau = geo.maximal_chord(K, u)
     assert geo.min_width(K) <= tau + 1e-9
     assert tau <= K.diameter + 1e-9
-    D = geo.difference_body(K)
+    D = routes.difference_body(K)
     v = D.vertices
     assert len(v) % 2 == 0
     assert np.allclose(v, -np.roll(v, len(v) // 2, axis=0), atol=1e-9)
@@ -294,7 +318,7 @@ def test_chord_order_on_random_hulls(seed, phi):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_gamma_bounds_on_random_hulls(seed):
     K = _random_hull(seed)
-    x = K.centroid
+    x = routes.centroid(K)
     g = geo.gamma(K, x)
     assert 0.0 < g <= 1.0 + 1e-12
     a = geo.alpha(K, x)
@@ -334,7 +358,7 @@ def test_alpha_on_affine_triangle_images(u, v, rot1, rot2, s1, s2, c1, c2):
 def _edge_widths_by_support(K):
     """w(K, n_e) for each edge normal, from the support function over the vertices."""
     n, _ = K.edge_normals()
-    return np.array([geo.width(K, ni) for ni in n])
+    return np.array([routes.width(K, ni) for ni in n])
 
 
 def _well_conditioned(K):
@@ -365,7 +389,7 @@ def test_maximal_chord_is_the_radius_of_the_difference_body(seed):
     u = _unit(np.random.default_rng(seed).uniform(-math.pi, math.pi, 500))
     tau = geo.maximal_chord(K, u)
     assert tau.shape == (500,)
-    np.testing.assert_allclose(tau, _radial(geo.difference_body(K), u), rtol=1e-12)
+    np.testing.assert_allclose(tau, _radial(routes.difference_body(K), u), rtol=1e-12)
     assert isinstance(geo.maximal_chord(K, u[0]), float)
 
 
@@ -386,13 +410,13 @@ def test_min_width_is_the_least_edge_width(seed):
 )
 def test_gauge_scales_points_onto_the_boundary(seed, phi, t):
     hull = _random_hull(seed)
-    K = geo.ConvexPolygon(hull.vertices - hull.centroid)  # the origin is inside
+    K = geo.ConvexPolygon(hull.vertices - routes.centroid(hull))  # the origin is inside
     assume(_well_conditioned(K))
     x = 0.7 * _unit(phi)
-    g = geo.minkowski_gauge(K, x)
+    g = routes.minkowski_gauge(K, x)
     assert abs(geo.interior_slack(K, x / g)) <= 1e-14 * K.diameter
-    assert geo.minkowski_gauge(K, t * x) == pytest.approx(t * g, rel=1e-14)
-    assert geo.minkowski_gauge(K, np.zeros(2)) == 0.0
+    assert routes.minkowski_gauge(K, t * x) == pytest.approx(t * g, rel=1e-14)
+    assert routes.minkowski_gauge(K, np.zeros(2)) == 0.0
 
 
 def test_tau_simplex_is_the_triangle_chord():
@@ -412,7 +436,7 @@ def test_chord_family_kernel_falls_to_the_polar_area(seed):
     A = np.array([[c, -s], [s, c]]) @ np.diag(rng.uniform(0.5, 2.0, 2))
     K = geo.ConvexPolygon(_unit(np.sort(rng.uniform(0.0, 2 * math.pi, rng.integers(5, 9)))) @ A.T)
     assert 5 <= len(K.vertices) <= 8 and _well_conditioned(K)
-    a = geo.alpha(K, K.centroid)
+    a = geo.alpha(K, routes.centroid(K))
     n, _ = K.edge_normals()
     polar = n / _edge_widths_by_support(K)[:, None]
     from scipy.spatial import ConvexHull

@@ -11,6 +11,8 @@ from bernstein_bounds import geometry as geo
 from bernstein_bounds import kernels as kn
 from bernstein_bounds import simplex as sx
 
+import routes
+
 M = np.array([1 / 3, 1 / 3])
 S6 = math.sqrt(6.0)
 HEX_VERTS = np.array([[S6, S6], [0.0, S6], [-S6, 0.0], [-S6, -S6], [0.0, -S6], [S6, 0.0]])
@@ -371,7 +373,7 @@ def test_kernel_ellipse_rejects_degenerate_form():
 def test_boundary_lies_on_the_quadratic_form():
     for x in (M, np.array([0.1, 0.25]), np.array([0.55, 0.3])):
         e = kn.kernel_ellipse_closed_form(x)
-        q = e.quadratic_form(e.boundary(257))
+        q = routes.quadratic_form(e, e.boundary(257))
         assert np.max(np.abs(q - 1.0)) < 1e-12
 
 
@@ -388,12 +390,12 @@ def test_closed_area_identities():
         closed = float(kn.kernel_area_closed(x))
         e = kn.kernel_ellipse_closed_form(x)
         assert closed == pytest.approx(e.area, rel=1e-12)
-        assert closed == pytest.approx(0.5 * float(sx.equilibrium_density(x)), rel=1e-15)
+        assert closed == pytest.approx(0.5 * float(routes.equilibrium_density(x)), rel=1e-15)
 
 
 def test_max_norm_is_reciprocal_of_ellipse_constant():
     for x in (M, np.array([0.12, 0.41]), np.array([0.3, 0.35])):
-        prod = kn.kernel_max_norm(x) * float(sx.ellipse_constant(x))
+        prod = routes.kernel_max_norm(x) * float(sx.ellipse_constant(x))
         assert prod == pytest.approx(1.0, abs=1e-13)
 
 
