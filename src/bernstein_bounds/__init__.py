@@ -49,8 +49,6 @@ from .polynomials import (
     bernstein_szego_1d,
     chebyshev_transplant,
     empirical_gradient_cloud,
-    evaluate,
-    gradient,
     random_polynomial,
     sup_norm_simplex,
     verify_upper_bound,

@@ -57,7 +57,6 @@ def check_domination(inv_E, baran, quotient) -> None:
 class ConstantSweepResult:
     sup_ratio_alpha: float
     sup_ratio_alpha2: float
-    grid_resolution: int
 
     def __post_init__(self):
         if self.sup_ratio_alpha > SQRT3 / 2.0 + 1e-6:
@@ -122,11 +121,7 @@ def constant_sweep(grid: int, margin: float = 1e-3) -> ConstantSweepResult:
     a = sx.alpha_simplex(pts)
     r1 = w * np.sqrt(1.0 - a) / (2.0 * E)
     r2 = w * np.sqrt(1.0 - a * a) / (2.0 * E)
-    return ConstantSweepResult(
-        sup_ratio_alpha=float(np.max(r1)),
-        sup_ratio_alpha2=float(np.max(r2)),
-        grid_resolution=grid,
-    )
+    return ConstantSweepResult(sup_ratio_alpha=float(np.max(r1)), sup_ratio_alpha2=float(np.max(r2)))
 
 
 def _fmt(v: float) -> str:
@@ -166,15 +161,13 @@ def cmd_compare(args) -> int:
         cols[:, 2:] = table[:, 3:]
         body = ("%s,%s" + ",%.12g" * 4 + "\n") * len(table) % tuple(cols.ravel().tolist())
         _write(args.out, ",".join(COMPARE_COLUMNS) + "\n" + body)
-    elif args.format == "json":
+    else:
         # json.dumps(..., indent=1) of the row dicts, whose encoder is pure Python
         # under indent: %r is json's float repr, and every table value is finite
         row = "  {\n" + ",\n".join(f'   "{c}": %r' for c in COMPARE_COLUMNS) + "\n  }"
         body = ",\n".join([row] * len(table)) % tuple(table.ravel().tolist())
         head = json.dumps({"meta": meta}, indent=1)[:-2]
         _write(args.out, f'{head},\n "rows": [\n{body}\n ]\n}}\n')
-    else:
-        raise ValueError("compare supports csv or json")
     print(f"rows={len(table)} min_quotient={_fmt(summary['min_quotient'])} "
           f"near_equality={summary['near_equality_count']}")
     return 0
@@ -222,10 +215,8 @@ def cmd_kernel(args) -> int:
     if args.out is not None:
         if args.format == "csv":
             _write(args.out, ker.region_to_csv(verts))
-        elif args.format == "svg":
-            _write(args.out, ker.regions_to_svg(overlays))
         else:
-            raise ValueError("kernel supports csv or svg")
+            _write(args.out, ker.regions_to_svg(overlays))
     return 0
 
 

@@ -123,8 +123,8 @@ def best_ellipse(K: ConvexPolygon, x, y) -> EllipseSolveReport:
     x = require_interior(K, x)
     y = unit_direction(y)
     n, c = K.edge_normals()
-    diam = K.diameter
-    s = (c - n @ x) / diam
+    exp, diam = K.unit_exp, K.unit_diameter  # diam(K) = diam * 2^exp
+    s = np.ldexp(c - n @ x, -exp) / diam
     G, h = np.column_stack([-2.0 * s[:, None] * n, (n @ y) ** 2]), s * s
     ties, compared = [], 0
     for i, j, k, sums in _triple_sums(n, s, np.column_stack([G[:, 2], h])):
@@ -139,7 +139,8 @@ def best_ellipse(K: ConvexPolygon, x, y) -> EllipseSolveReport:
     Z = np.linalg.solve(G[T], h[T][..., None])[..., 0]
     V = Z @ G.T - h  # each tied vertex's row violations
     win = int(np.argmin(V.max(axis=1)))
-    w = InscribedEllipse(x=x, y=y, a=diam * Z[win, :2], b=diam * math.sqrt(best))
+    w = InscribedEllipse(x=x, y=y, a=np.ldexp(diam * Z[win, :2], exp),
+                         b=math.ldexp(diam * math.sqrt(best), exp))
     active = tuple(int(e) for e in np.flatnonzero(V[win] >= -_ROW_TOL))
     residual = max(containment_violation(w, K), 0.0)
     return EllipseSolveReport(w.b, w, compared, residual, active)

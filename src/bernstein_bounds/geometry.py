@@ -34,6 +34,8 @@ class ConvexPolygon:
     normals, the diameter and the ellipse layer's squares are taken in units of
     2^k, scaled by np.ldexp, which is exact: coordinates of any finite size
     give the same digits, and no square of a length of K over- or underflows.
+    unit_diameter is the diameter in those units; it stays finite where the
+    diameter itself, at max|v| above about 6e307, overflows.
     """
 
     vertices: np.ndarray
@@ -66,10 +68,14 @@ class ConvexPolygon:
         return _shoelace(self.vertices)
 
     @cached_property
-    def diameter(self) -> float:
+    def unit_diameter(self) -> float:
         u = np.ldexp(self.vertices, -self.unit_exp)
         d2 = np.sum((u[:, None, :] - u[None, :, :]) ** 2, axis=-1)
-        return float(np.ldexp(math.sqrt(float(np.max(d2))), self.unit_exp))
+        return math.sqrt(float(np.max(d2)))
+
+    @property
+    def diameter(self) -> float:
+        return float(np.ldexp(self.unit_diameter, self.unit_exp))
 
     def edge_normals(self):
         """Outward unit normals and offsets: K = {p : n_i . p <= c_i} (read-only)."""
@@ -100,11 +106,12 @@ def interior_slack(K: ConvexPolygon, x) -> float:
 
 
 def require_interior(K: ConvexPolygon, x) -> np.ndarray:
-    """x as a float array, if its slack exceeds 1e-12 times the diameter of K."""
+    """x as a float array, if its slack exceeds 1e-12 times the diameter of K
+    (compared in K's units of 2^k)."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("point must be finite")
-    if interior_slack(K, x) <= _BOUNDARY_TOL * K.diameter:
+    if math.ldexp(interior_slack(K, x), -K.unit_exp) <= _BOUNDARY_TOL * K.unit_diameter:
         raise ValueError("point is not strictly interior to the polygon")
     return x
 

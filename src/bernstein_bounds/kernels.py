@@ -67,7 +67,6 @@ class KernelRegion:
     """Convex, origin-symmetric polygon cut out by the slab constraints."""
 
     polygon: ConvexPolygon
-    n_halfplanes: int
 
     def __post_init__(self):
         v = self.polygon.vertices
@@ -103,7 +102,7 @@ def kernel_intersect(table: DirectionalBoundTable) -> KernelRegion:
     vx = (c1 * n2[:, 1] - c2 * n1[:, 1]) / det
     vy = (n1[:, 0] * c2 - n2[:, 0] * c1) / det
     verts = _dedupe_loop(np.stack([vx, vy], axis=1))
-    return KernelRegion(polygon=ConvexPolygon(verts), n_halfplanes=2 * len(table.r))
+    return KernelRegion(polygon=ConvexPolygon(verts))
 
 
 def _binding_lines(p: np.ndarray) -> np.ndarray:

@@ -451,9 +451,9 @@ def test_check_domination_rejects_bad_rows():
 
 def test_constant_sweep_result_enforces_ceilings():
     with pytest.raises(ValueError):
-        cli.ConstantSweepResult(sup_ratio_alpha=0.9, sup_ratio_alpha2=1.0, grid_resolution=60)
+        cli.ConstantSweepResult(sup_ratio_alpha=0.9, sup_ratio_alpha2=1.0)
     with pytest.raises(ValueError):
-        cli.ConstantSweepResult(sup_ratio_alpha=0.8, sup_ratio_alpha2=1.2, grid_resolution=60)
+        cli.ConstantSweepResult(sup_ratio_alpha=0.8, sup_ratio_alpha2=1.2)
 
 
 @pytest.mark.parametrize(

@@ -201,7 +201,7 @@ def test_require_interior_rejects_boundary_and_outside():
         geo.require_interior(TRI, np.array([math.nan, 0.2]))
 
 
-@pytest.mark.parametrize("s", [1e-300, 1e-6, 1.0, 1e6, 1e300])
+@pytest.mark.parametrize("s", [1e-300, 1e-6, 1.0, 1e6, 1e300, 1.5e308])
 def test_require_interior_verdict_is_scale_invariant(s):
     K = geo.ConvexPolygon(s * TRI.vertices)
     with pytest.raises(ValueError):
@@ -211,24 +211,28 @@ def test_require_interior_verdict_is_scale_invariant(s):
 
 
 def _polygon_answers(K, x, u):
-    """alpha, b, E, min width, tau, diameter and the witness residual at x."""
+    """alpha, b, E, min width, tau and the witness residual at x."""
     report = el.best_ellipse(K, x, u)
     return np.array([
         geo.alpha(K, x), report.best_b, el.best_ellipse_all_dirs(K, x), geo.min_width(K),
-        geo.maximal_chord(K, u), K.diameter,
+        geo.maximal_chord(K, u),
     ]), report.feasibility_residual
 
 
-@pytest.mark.parametrize("s", [1e-300, 1e-120, 1e-80, 1e80, 1e120, 1e300])
+@pytest.mark.parametrize("s", [1e-300, 1e-120, 1e-80, 1e80, 1e120, 1e300, 1.5e308])
 def test_polygon_answers_are_scale_invariant(s):
     """The polygon works in units of 2^k, so no square or s^6 sum of its edges
-    and slacks over- or underflows, and every answer scales with s."""
+    and slacks over- or underflows, and every answer scales with s.  The
+    diameter too, unless, as at s = 1.5e308, it is beyond the float range."""
     x, u = np.array([0.2, 0.2]), np.array([0.6, 0.8])
     want, _ = _polygon_answers(TRI, x, u)
-    got, residual = _polygon_answers(geo.ConvexPolygon(s * TRI.vertices), s * x, u)
-    scale = np.array([1.0, s, s, s, s, s])
+    K = geo.ConvexPolygon(s * TRI.vertices)
+    got, residual = _polygon_answers(K, s * x, u)
+    scale = np.array([1.0, s, s, s, s])
     np.testing.assert_allclose(got / scale, want, rtol=1e-14)
     assert residual / s <= 1e-12
+    if math.isfinite(s * TRI.diameter):
+        np.testing.assert_allclose(K.diameter / s, TRI.diameter, rtol=1e-14)
 
 
 @pytest.mark.parametrize("s", [1e-15, 1.0, 1e15])

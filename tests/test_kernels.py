@@ -80,7 +80,7 @@ def reference_region(tab):
     vx = (c1 * n2[:, 1] - c2 * n1[:, 1]) / det
     vy = (n1[:, 0] * c2 - n2[:, 0] * c1) / det
     verts = kn._dedupe_loop(np.stack([vx, vy], axis=1))
-    return kn.KernelRegion(polygon=geo.ConvexPolygon(verts), n_halfplanes=2 * len(tab.r))
+    return kn.KernelRegion(polygon=geo.ConvexPolygon(verts))
 
 
 def grid_table(r):
@@ -128,7 +128,6 @@ def test_table_from_function_grid():
 def test_hexagon_exact_when_critical_angles_sampled():
     """When N is a multiple of 4 the three edge-normal angles land on the grid."""
     reg = kn.kernel_intersect(kr_table(M, 256))
-    assert reg.n_halfplanes == 512
     assert reg.area == pytest.approx(18.0, abs=1e-10)
     v = reg.polygon.vertices
     assert len(v) == 6
@@ -276,17 +275,17 @@ def test_kernel_area_matches_frozen_values(make, area):
 
 def test_kernel_region_rejects_asymmetric_polygon():
     with pytest.raises(ValueError):
-        kn.KernelRegion(polygon=geo.unit_triangle(), n_halfplanes=6)
+        kn.KernelRegion(polygon=geo.unit_triangle())
 
 
 def test_kernel_region_symmetry_tolerance_is_absolute():
     """1e-9 times the scale, with no relative slack: a 1e-5 move on radius 10 fails."""
     t = np.arange(6) * (math.pi / 3.0)
     hexagon = 10.0 * np.stack([np.cos(t), np.sin(t)], axis=1)
-    assert kn.KernelRegion(polygon=geo.ConvexPolygon(hexagon), n_halfplanes=6).area > 0.0
+    assert kn.KernelRegion(polygon=geo.ConvexPolygon(hexagon)).area > 0.0
     hexagon[1, 0] += 1e-5
     with pytest.raises(ValueError, match="centrally symmetric"):
-        kn.KernelRegion(polygon=geo.ConvexPolygon(hexagon), n_halfplanes=6)
+        kn.KernelRegion(polygon=geo.ConvexPolygon(hexagon))
 
 
 def test_kernel_area_scales_with_the_bounds():
