@@ -152,14 +152,12 @@ def cmd_compare(args) -> int:
         "summary": summary,
     }
     if args.format == "csv":
-        # rows run over the points with phi innermost, as comparison_sweep documents
-        head = ["%.12g,%.12g" % tuple(p) for p in table[::args.dirs, :2].tolist()]
-        phi = ["%.12g" % p for p in table[:args.dirs, 2].tolist()]
-        cols = np.empty((len(table), 6), dtype=object)
-        cols[:, 0] = np.repeat(np.array(head, dtype=object), args.dirs)
-        cols[:, 1] = np.tile(np.array(phi, dtype=object), len(head))
-        cols[:, 2:] = table[:, 3:]
-        body = ("%s,%s" + ",%.12g" * 4 + "\n") * len(table) % tuple(cols.ravel().tolist())
+        # rows run over the points with phi innermost, as comparison_sweep documents;
+        # each point's x1,x2 and each phi are baked into one template, once each
+        phi = ["%.12g" % p + ",%.12g" * 4 + "\n" for p in table[:args.dirs, 2].tolist()]
+        heads = ["%.12g,%.12g," % tuple(p) for p in table[::args.dirs, :2].tolist()]
+        template = "".join([h + h.join(phi) for h in heads])
+        body = template % tuple(table[:, 3:].ravel().tolist())
         _write(args.out, ",".join(COMPARE_COLUMNS) + "\n" + body)
     else:
         # json.dumps(..., indent=1) of the row dicts, whose encoder is pure Python

@@ -10,8 +10,8 @@ and on the simplex that family's cloud has a closed-form area.
 A sampled table of N bounds gives 2N half-planes whose normals are already
 sorted by angle.  ``kernel_intersect`` finds the binding ones as the convex
 hull of their polar points (polar duality; the origin is strictly inside every
-half-plane) by one vectorized turn test, then an O(N) stack pass if the
-survivors are not yet convex, and intersects consecutive binding lines.
+half-plane) by one vectorized turn test, then an O(N) stack pass over the
+survivors if the test dropped any, and intersects consecutive binding lines.
 """
 
 from __future__ import annotations
@@ -111,19 +111,17 @@ def _binding_lines(p: np.ndarray) -> np.ndarray:
     The origin is interior to the hull, so consecutive points are less than pi
     apart, and a point where the loop does not turn strictly left lies in the
     triangle of the origin and its two neighbours: it is no hull vertex.  One
-    vectorized turn test drops all such points; if every survivor turns left
-    they are the hull, else one stack pass over them from a known hull vertex
-    (the farthest point) keeps exactly the strict left turns.  The test is not
-    iterated until the loop is convex: a round only peels the two ends of each
-    locally convex arc, so two tight antipodal lines take O(N) rounds.
+    vectorized turn test drops all such points; if it drops none they are the
+    hull, else one stack pass over the survivors from a known hull vertex (the
+    farthest point) keeps exactly the strict left turns, by the same cross product.
+    The test is not iterated: a round only peels the two ends of each locally
+    convex arc, so two tight antipodal lines would take O(N) rounds.
     """
     left = _turns_left(p)
     if left.all():
         return np.arange(len(p))
     keep = np.flatnonzero(left)
     q = p[keep]
-    if _turns_left(q).all():
-        return keep
     m = len(q)
     s = int(np.argmax(np.sum(q * q, axis=1)))
     xs, ys = np.roll(q, -s, axis=0).T.tolist()

@@ -144,8 +144,8 @@ class SupNormCertificate:
     critical point, grid node or polished interior point, and the largest |Bezier
     ordinate|.  value == upper: the hull proved the boundary maximum to be the
     norm, no grid ran, and grid_resolution is the m it would have used.  value is
-    p evaluated in floats, so rounding can lift it above ||p||: the degree-8
-    Chebyshev transplants' values exceed their exact norms by up to 9e-12."""
+    p evaluated in floats, so rounding can lift it above ||p||, by up to 9e-12 on the
+    degree-8 Chebyshev transplants, whose exact norms the cloud's catalog takes."""
 
     value: float
     grid_resolution: int
@@ -210,8 +210,6 @@ def _inside(pts: np.ndarray) -> np.ndarray:
 
 def _interior_polish(p: TotalDegreePolynomial, starts: np.ndarray) -> np.ndarray:
     """Newton iteration toward critical points of p; the interior end points."""
-    if p.degree < 2:
-        return np.empty((0, 2))
     n1 = p.degree + 1
     block = p._newton_block
     pts = starts.copy()
@@ -269,7 +267,7 @@ def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
         return SupNormCertificate(value=boundary, grid_resolution=m, upper=boundary)
     A, nodes, n_int = _grid(n, m)
     vals = np.abs((A @ p.square @ A.T).ravel()[nodes])
-    top = nodes[np.argpartition(vals[:n_int], -10)[-10:]] if n_int > 10 else nodes[:n_int]
+    top = nodes[np.argpartition(vals[:n_int], -10)[-10:]]
     starts = np.stack(np.divmod(top, m + 1), axis=1) / m
     polished = np.abs(_value_and_gradient(p, _interior_polish(p, starts))[:, 0])
     # the vertices are grid nodes; their second evaluation stays out of the max
@@ -382,13 +380,17 @@ class GradientSample:
 
 @lru_cache(maxsize=8)
 def _transplant_catalog(n: int):
-    """(T_n of l, its certified norm) for the 60 nonconstant affine functionals l
-    with vertex values in {-1, -1/3, 1/3, 1}; they depend on n alone."""
+    """(T_n of l, ||T_n o l||) for the 60 nonconstant affine l with vertex values in
+    {-1, -1/3, 1/3, 1}: the norm is the max of |T_n| on [min, max] of those values,
+    1 if that holds a cos(k pi / n) (none is +-1/3, by Niven), else |T_n| at an end."""
+    extremes = np.cos(np.arange(n + 1) * math.pi / n)
     out = []
     for v0, va, vb in itertools.product((-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0), repeat=3):
         if not va == v0 == vb:
             p = chebyshev_transplant(n, v0, np.array([va - v0, vb - v0]))
-            out.append((p, sup_norm_simplex(p).value))
+            lo, hi = min(v0, va, vb), max(v0, va, vb)
+            ends = np.abs(cheb.chebval([lo, hi], np.eye(n + 1)[n])).max()
+            out.append((p, 1.0 if np.any((lo <= extremes) & (extremes <= hi)) else float(ends)))
     return tuple(out)
 
 

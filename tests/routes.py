@@ -60,10 +60,12 @@ def _lowest_vertex(v) -> np.ndarray:
 def minkowski_gauge(K: geo.ConvexPolygon, x) -> float:
     """Gauge inf{t > 0 : x in t*K} = max_e <n_e, x> / c_e.
 
-    The origin's slack min_e c_e must exceed 1e-12 diam K, and x must be finite.
+    The origin's slack min_e c_e must exceed 1e-12 diam K, compared in K's units
+    of 2^unit_exp so that no diameter beyond the float range enters, and x must
+    be finite.
     """
     n, c = K.edge_normals()
-    if np.min(c) <= _BOUNDARY_TOL * K.diameter:
+    if math.ldexp(float(np.min(c)), -K.unit_exp) <= _BOUNDARY_TOL * K.unit_diameter:
         raise ValueError("gauge needs the origin strictly interior to K")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):

@@ -248,6 +248,15 @@ def test_polygon_and_gauge_verdicts_are_scale_invariant(s):
         routes.minkowski_gauge(edge, s * np.array([0.0, 0.5]))  # slack 1e-13 s
 
 
+def test_gauge_on_a_polygon_beyond_the_float_range_matches_alpha():
+    """The square (+-7.5e307, +-7.5e307) has a diameter beyond the float range; the
+    gauge route compares the origin's slack in K's units and agrees with alpha."""
+    K = geo.ConvexPolygon(7.5e307 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    x = np.array([1e307, 0.0])
+    assert geo.alpha(K, x) == pytest.approx(2.0 / 15.0, abs=1e-12)
+    assert routes.minkowski_gauge(K, x) == pytest.approx(geo.alpha(K, x), abs=1e-12)
+
+
 def test_polygon_below_coordinate_rounding_is_rejected():
     # a 1e-15 triangle at 1e3: its edges are below the coordinates' rounding
     tiny = 1e3 + 1e-15 * TRI.vertices

@@ -224,11 +224,19 @@ def every_256th_line_tight():
     return grid_table(r)
 
 
+def alternating_lines():
+    """r_k = 1 + 0.01 (k mod 2): the turn test drops the looser lines' polar points,
+    and the 64 survivors already turn left everywhere, so the stack pass keeps all."""
+    return grid_table(1.0 + 0.01 * (np.arange(64) % 2))
+
+
 @pytest.mark.parametrize(
-    "make", [two_tight_antipodal_lines, every_256th_line_tight], ids=["tight pair", "every 256th"]
+    "make", [two_tight_antipodal_lines, every_256th_line_tight, alternating_lines],
+    ids=["tight pair", "every 256th", "alternating"]
 )
 def test_kernel_on_adversarial_tables_matches_both_references(make):
-    """Tables on which an iterated turn filter would need many rounds."""
+    """Tables on which an iterated turn filter would need many rounds, and one whose
+    survivors of one round are already the hull."""
     tab = make()
     v = kn.kernel_intersect(tab).polygon.vertices
     assert np.array_equal(v, reference_region(tab).polygon.vertices)

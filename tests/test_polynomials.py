@@ -446,13 +446,16 @@ def _chebyshev_at(n, t):
     return cur
 
 
-@pytest.mark.parametrize("n, rel", [(1, 1e-14), (2, 1e-14), (3, 1e-14), (4, 1e-14), (5, 2e-12),
-                                    (6, 2e-12), (7, 2e-11), (8, 2e-11)])
-def test_catalog_norms_are_the_exact_interval_maxima(n, rel):
+@pytest.mark.parametrize("n, search_rel", [(1, 1e-14), (2, 1e-14), (3, 1e-14), (4, 1e-14),
+                                           (5, 2e-12), (6, 2e-12), (7, 2e-11), (8, 2e-11)])
+def test_catalog_norms_are_the_exact_interval_maxima(n, search_rel):
     """||T_n o l|| on the simplex is the max of |T_n| over [min, max] of l's vertex
     values: 1 if an extreme point cos(k pi / n) lies there, else |T_n| at an end,
-    here exact.  The certified norm is p evaluated in floats, so it may overshoot
-    by rounding (up to 9.1e-12 at n = 8) but falls short by no more than 1e-15."""
+    here exact.  The catalog takes that closed form and meets it to 1e-15 relative.
+    sup_norm_simplex, which the catalog does not call, evaluates p in floats, so
+    its value may overshoot by rounding, within search_rel (measured 5.3e-15,
+    6.8e-13 and 9.1e-12 for n <= 4, 5-6 and 7-8), but falls short by no more than
+    1e-15."""
     ends = (Fraction(-1), Fraction(-1, 3), Fraction(1, 3), Fraction(1))
     values = [v for v in itertools.product(ends, repeat=3) if not v[0] == v[1] == v[2]]
     catalog = pl._transplant_catalog(n)
@@ -463,8 +466,31 @@ def test_catalog_norms_are_the_exact_interval_maxima(n, rel):
             exact = 1.0
         else:
             exact = float(max(abs(_chebyshev_at(n, lo)), abs(_chebyshev_at(n, hi))))
-        assert abs(norm - exact) <= rel * exact
-        assert exact - norm <= 1e-15
+        assert abs(norm - exact) <= 1e-15 * exact
+        value = pl.sup_norm_simplex(p).value
+        assert abs(value - exact) <= search_rel * exact
+        assert exact - value <= 1e-15
+
+
+def test_transplant_catalog_runs_no_sup_norm_search(monkeypatch):
+    def refuse(p):
+        raise AssertionError("the catalog norms are closed forms")
+
+    monkeypatch.setattr(pl, "sup_norm_simplex", refuse)
+    pl._transplant_catalog.cache_clear()
+    try:
+        assert [len(pl._transplant_catalog(n)) for n in range(1, 9)] == [60] * 8
+    finally:
+        pl._transplant_catalog.cache_clear()
+
+
+def test_gradient_cloud_keeps_no_near_zero_rim_sample():
+    """With the exact norm, a transplant with |p(x)| at its norm has den2 = 0 and adds
+    no sample; a norm rounded above it would add a near-zero vector instead."""
+    cloud = pl.empirical_gradient_cloud(np.array([0.3, 0.25]), degree=8, trials=20, seed=1)
+    v = np.array([s.vector for s in cloud])
+    assert len(v) == 484
+    assert not np.any(np.linalg.norm(v, axis=1) < 1e-6)
 
 
 def test_gradient_cloud_validates_inputs():
