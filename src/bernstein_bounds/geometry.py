@@ -119,10 +119,10 @@ def require_interior(K: ConvexPolygon, x) -> np.ndarray:
 def unit_direction(y) -> np.ndarray:
     """y scaled to unit length along its last axis; each direction must be finite and nonzero."""
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("direction must be finite")
     length = np.hypot.reduce(y, axis=-1, keepdims=True)
-    if np.any(length == 0.0):
+    if (length == 0.0).any():
         raise ValueError("direction must be nonzero")
     return y / length
 

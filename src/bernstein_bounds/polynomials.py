@@ -7,8 +7,10 @@ Horner pass.  The sup-norm on the simplex is bracketed: from below by |p| at
 the vertices and edge-derivative roots (the exact boundary maximum), at the
 nodes of a tensor-product grid A @ c @ A.T cached per degree, and at
 Newton-polished interior points; from above by the largest |Bezier ordinate|
-(convex hull).  When no ordinate exceeds the boundary maximum, that
-maximum is the norm, and no grid or Newton step runs.
+(convex hull).  value == upper when the boundary maximum is proved to be the
+norm, by the hull or by the Bezier ordinates of a centroid split (a leaf on
+the boundary measures its edge row by that maximum); then no grid or Newton
+step runs.
 """
 
 from __future__ import annotations
@@ -93,10 +95,14 @@ class TotalDegreePolynomial:
         return block.reshape(n1, 5 * n1)
 
 
+@lru_cache(maxsize=32)
 def _triangle(n: int) -> np.ndarray:
-    """Mask of i + j <= n in the (n+1) x (n+1) square; row-major, it lists the flat order."""
+    """Mask of i + j <= n in the (n+1) x (n+1) square; row-major, it lists the flat order.
+    Read-only, as it is shared."""
     k = np.arange(n + 1)
-    return k[:, None] + k <= n
+    mask = k[:, None] + k <= n
+    mask.setflags(write=False)
+    return mask
 
 
 def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
@@ -142,10 +148,11 @@ def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
 class SupNormCertificate:
     """value <= ||p|| <= upper on the simplex, up to rounding: |p| at a vertex, edge
     critical point, grid node or polished interior point, and the largest |Bezier
-    ordinate|.  value == upper: the hull proved the boundary maximum to be the
-    norm, no grid ran, and grid_resolution is the m it would have used.  value is
-    p evaluated in floats, so rounding can lift it above ||p||, by up to 9e-12 on the
-    degree-8 Chebyshev transplants, whose exact norms the cloud's catalog takes."""
+    ordinate|.  value == upper when the hull or the centroid split proved the
+    boundary maximum (a vertex value, if the hull did) to be the norm; then no grid
+    ran, and grid_resolution is the m it would have used.  value is p evaluated in
+    floats, so rounding can lift it above ||p||, by up to 9e-12 on the degree-8
+    Chebyshev transplants, whose exact norms the cloud's catalog takes."""
 
     value: float
     grid_resolution: int
@@ -165,7 +172,6 @@ def _grid(n: int, m: int):
 # edge e of the simplex is {origin[e] + t dir[e] : 0 <= t <= 1}: x2 = 0, x1 = 0, x2 = 1 - x1
 _EDGE_ORIGIN = np.array([[[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
 _EDGE_DIR = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]])
-_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @lru_cache(maxsize=32)
@@ -181,23 +187,30 @@ def _edge_derivative_map(n: int) -> np.ndarray:
     return (q[..., 1:] * np.arange(1, n + 1)).reshape((n + 1) ** 2, 3 * n)
 
 
+@lru_cache(maxsize=32)
+def _companion(n: int) -> np.ndarray:
+    """Three (n-1) x (n-1) shift matrices, read-only: _edge_candidates fills in column 0."""
+    comp = np.tile(np.eye(n - 1, k=1), (3, 1, 1))
+    comp.setflags(write=False)
+    return comp
+
+
 def _edge_candidates(p: TotalDegreePolynomial) -> np.ndarray:
     """Critical points (k, 2) of p restricted to each edge, inside the edge.
 
-    With the vertices (grid nodes) they hold the maximum of |p| on the
+    With the vertices they hold the maximum of |p| on the
     boundary.  They are the real roots in (0, 1) of the three edge
     derivatives, found together as eigenvalues of their companion matrices.
+    Needs n >= 2: sup_norm_simplex settles lower degrees by the hull.
     """
     n = p.degree
-    if n < 2:
-        return np.empty((0, 2))
     dq = (p.square.ravel() @ _edge_derivative_map(n)).reshape(3, n)
     for e in np.flatnonzero(dq[:, -1] == 0.0):
         # t^k q'(t) has the same roots in (0, 1): move the top nonzero
         # coefficient to the lead; a constant edge becomes t^(n-1)
         nz = np.flatnonzero(dq[e])
         dq[e] = np.roll(dq[e], n - 1 - nz[-1]) if len(nz) else np.eye(n)[-1]
-    comp = np.tile(np.eye(n - 1, k=1), (3, 1, 1))  # rotated companion matrices
+    comp = _companion(n).copy()  # rotated companion matrices
     comp[:, :, 0] = -dq[:, -2::-1] / dq[:, -1:]
     r = np.linalg.eigvals(comp)
     keep = (np.abs(r.imag) < 1e-8) & (r.real > 0.0) & (r.real < 1.0)
@@ -232,46 +245,152 @@ def _interior_polish(p: TotalDegreePolynomial, starts: np.ndarray) -> np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _bezier_map(n: int) -> np.ndarray:
-    """B with coeffs @ B the Bezier ordinates of p, the three vertex values left out.
+def _bernstein_map(n: int) -> np.ndarray:
+    """B, read-only, with coeffs @ B the Bezier ordinates b_abc of p on the simplex,
+    a + b + c = n, in the flat order of (a, b).
 
     x1^i x2^j is the sum over a >= i, b >= j of C(a, i) C(b, j) / multinomial(n;
     i, j, n - i - j) times the Bernstein polynomial of x1^a x2^b x3^(n-a-b).
     """
     comb = np.vectorize(math.comb, otypes=[float])
     ij = np.argwhere(_triangle(n))  # the flat order, of monomials and of ordinates
-    a, b = ij[(ij.sum(axis=1) > 0) & (ij.max(axis=1) < n)].T  # not (0, 0), (n, 0), (0, n)
     i, j = ij.T[:, :, None]
-    return comb(a, i) * comb(b, j) / (comb(n, i) * comb(n - i, j))
+    a, b = ij.T
+    B = comb(a, i) * comb(b, j) / (comb(n, i) * comb(n - i, j))
+    B.setflags(write=False)
+    return B
+
+
+@lru_cache(maxsize=32)
+def _bezier_map(n: int) -> np.ndarray:
+    """_bernstein_map(n) with the columns of the three vertex values left out; in C
+    order, as the product's rounding follows the layout."""
+    ab = np.argwhere(_triangle(n))
+    return np.ascontiguousarray(_bernstein_map(n)[:, (ab.sum(axis=1) > 0) & (ab.max(axis=1) < n)])
+
+
+# the corners of the centroid split's three triangles and of a leaf's four
+# midpoint children, as barycentric weights of (x1, x2, x3); the first two
+# corners span the triangle's boundary edge, where it has one
+_THIRD = (1.0 / 3.0,) * 3
+_CENTROID_SPLIT = (
+    ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), _THIRD),  # on x2 = 0
+    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), _THIRD),  # on x1 + x2 = 1
+    ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), _THIRD),  # on x1 = 0
+)
+_MIDPOINT_SPLIT = (
+    ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.0, 0.5)),
+    ((0.5, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.5, 0.5)),
+    ((0.5, 0.0, 0.5), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0)),
+    ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)),
+)
+# the children whose first two corners lie on the leaf's first edge, free of its third corner
+_MIDPOINT_ON_EDGE = np.array([u[2] == v[2] == 0.0 for u, v, _ in _MIDPOINT_SPLIT])
+_SPLIT_DEPTH = 5
+_SPLIT_OPEN = 4
+
+
+def _subdivision_map(n: int, triangles) -> np.ndarray:
+    """S with (ordinates @ S) the ordinates on each of triangles, side by side.
+
+    On the triangle with corners u, v, w (barycentric in the parent), ordinate
+    abc is the blossom of p at a copies of u, b of v and c of w, and the weight
+    of parent ordinate beta in it is the coefficient of t^beta in
+    (u.t)^a (v.t)^b (w.t)^c: n products with a linear form, for every
+    ordinate at once.
+    """
+    ab = np.argwhere(_triangle(n))
+    step = np.arange(n)
+    corner = (step >= ab[:, :1]).astype(int) + (step >= ab.sum(axis=1, keepdims=True))
+    form = np.asarray(triangles)[:, corner, :, None, None]  # (triangle, ordinate, step, 3, 1, 1)
+    w = np.zeros(form.shape[:2] + (n + 1, n + 1))
+    w[..., 0, 0] = 1.0
+    for s in range(n):
+        u = form[:, :, s]
+        nxt = u[:, :, 2] * w
+        nxt[..., 1:, :] += u[:, :, 0] * w[..., :-1, :]
+        nxt[..., 1:] += u[:, :, 1] * w[..., :-1]
+        w = nxt
+    return w[..., _triangle(n)].transpose(2, 0, 1).reshape(len(ab), -1)
+
+
+@lru_cache(maxsize=32)
+def _split_maps(n: int):
+    """(C, S, row), read-only: coeffs @ C the ordinates on the three centroid
+    triangles, a leaf's ordinates @ S those on its four midpoint children, and
+    row the mask of a leaf's ordinates on its first two corners' edge."""
+    maps = (_bernstein_map(n) @ _subdivision_map(n, _CENTROID_SPLIT),
+            _subdivision_map(n, _MIDPOINT_SPLIT),
+            np.argwhere(_triangle(n)).sum(axis=1) == n)
+    for a in maps:
+        a.setflags(write=False)
+    return maps
+
+
+def _split_settles(p: TotalDegreePolynomial, boundary: float) -> bool:
+    """True when the Bezier ordinates of a split prove |p| <= boundary on the simplex.
+
+    boundary is the exact maximum of |p| on the simplex's boundary.  The split
+    cuts the simplex at its centroid into three triangles with one boundary edge
+    each.  On such a leaf, the ordinates of the edge row sum to (1 - mu)^n p on
+    the edge, mu the barycentric coordinate of the third corner, so |p| is at
+    most max(boundary, the leaf's other |ordinates|), and the leaf is settled
+    when those are <= boundary; a leaf without a boundary edge needs every
+    ordinate there.  Open leaves split at their edge midpoints, and the two
+    children on the boundary edge keep the rule.  The split gives up beyond
+    _SPLIT_DEPTH levels or _SPLIT_OPEN open leaves: a maximum inside the
+    simplex, or a Chebyshev transplant's ridge, leaves it open at any depth.
+    """
+    centroid, children, row = _split_maps(p.degree)
+    leaves = (p.coeffs @ centroid).reshape(3, -1)
+    on_edge = np.ones(3, dtype=bool)
+    for level in range(_SPLIT_DEPTH + 1):
+        bound = np.abs(np.where(on_edge[:, None] & row, 0.0, leaves)).max(axis=1)
+        open_leaves = bound > boundary
+        n_open = int(open_leaves.sum())
+        if n_open == 0:
+            return True
+        if level == _SPLIT_DEPTH or n_open > _SPLIT_OPEN:
+            break
+        leaves = (leaves[open_leaves] @ children).reshape(4 * n_open, -1)
+        on_edge = (on_edge[open_leaves, None] & _MIDPOINT_ON_EDGE).ravel()
+    return False
 
 
 def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
     """Sup-norm of p on the simplex from below, with the Bezier upper bound.
 
-    The boundary maximum is exact: |p| at the vertices and at the real roots of
-    p's derivative along each edge.  If no |Bezier ordinate| exceeds it, it is
-    the norm (convex hull), and value == upper.  Otherwise the value is the
-    largest of a grid maximum, |p| at the edge roots and |p| at the ten best
-    interior nodes after Newton polish toward critical points.  The grid, with
-    m = max(64, 8 n^2) lines per side, is one tensor product A @ c @ A.T over
-    the nodes (k/m, l/m), restricted to the simplex by indices cached per
-    degree; it holds the vertices.
+    Three stages, each run only when the one before cannot prove the norm:
+    (a) if no |Bezier ordinate| exceeds the largest |p| at the vertices, that is
+    the norm (convex hull); a settled hull always means a vertex maximum, as an
+    edge maximum inside the edge is a positive mix of the edge's ordinates.
+    (b) The exact boundary maximum, |p| at the vertices and at the real roots of
+    p's derivative along each edge, is the norm if _split_settles proves it.
+    In both, value == upper.  (c) Otherwise the value is the largest of a grid
+    maximum, |p| at the edge roots and |p| at the ten best interior nodes after
+    Newton polish toward critical points, and upper is the hull's bound.  The
+    grid, with m = max(64, 8 n^2) lines per side, is one tensor product
+    A @ c @ A.T over the nodes (k/m, l/m), restricted to the simplex by indices
+    cached per degree; it holds the vertices.
     """
     n = p.degree
     m = max(64, 8 * n * n)
-    edge = _edge_candidates(p)
-    on_boundary = np.abs(_value_and_gradient(p, np.concatenate([_VERTICES, edge]))[:, 0])
-    boundary = float(on_boundary.max())
+    sq = p.square
+    # p at (0, 0), (1, 0) and (0, 1): Horner's sums there, bit for bit
+    vertex = float(np.abs([sq[0, 0], np.cumsum(sq[::-1, 0])[-1], np.cumsum(sq[0, ::-1])[-1]]).max())
     upper = float(np.abs(p.coeffs @ _bezier_map(n)).max(initial=0.0))
-    if not upper > boundary:
+    if not upper > vertex:
+        return SupNormCertificate(value=vertex, grid_resolution=m, upper=vertex)
+    on_edges = np.abs(_value_and_gradient(p, _edge_candidates(p))[:, 0])
+    boundary = max(vertex, float(on_edges.max(initial=0.0)))
+    if _split_settles(p, boundary):
         return SupNormCertificate(value=boundary, grid_resolution=m, upper=boundary)
     A, nodes, n_int = _grid(n, m)
-    vals = np.abs((A @ p.square @ A.T).ravel()[nodes])
+    vals = np.abs((A @ sq @ A.T).ravel()[nodes])
     top = nodes[np.argpartition(vals[:n_int], -10)[-10:]]
     starts = np.stack(np.divmod(top, m + 1), axis=1) / m
     polished = np.abs(_value_and_gradient(p, _interior_polish(p, starts))[:, 0])
-    # the vertices are grid nodes; their second evaluation stays out of the max
-    value = max(vals.max(), on_boundary[3:].max(initial=0.0), polished.max(initial=0.0))
+    value = max(vals.max(), on_edges.max(initial=0.0), polished.max(initial=0.0))
     return SupNormCertificate(value=float(value), grid_resolution=m, upper=upper)
 
 

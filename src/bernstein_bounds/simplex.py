@@ -32,10 +32,10 @@ def check_interior(x):
     margin _MARGIN = 1e-12.
     """
     x = _as_points(x)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("point must be finite")
     # coordinates in (_MARGIN, 1) cannot overflow the sum
-    if np.any((x <= _MARGIN) | (x >= 1.0)) or np.any(1.0 - np.sum(x, axis=-1) <= _MARGIN):
+    if not (((x > _MARGIN) & (x < 1.0)).all() and (1.0 - x.sum(axis=-1) > _MARGIN).all()):
         raise ValueError("point is not strictly interior to the simplex")
     return x
 
@@ -57,7 +57,7 @@ def baran_derivative(x, y):
     """
     x = check_interior(x)
     y = unit_direction(y)
-    s = np.sum(y * y / x, axis=-1) + np.sum(y, axis=-1) ** 2 / (1.0 - np.sum(x, axis=-1))
+    s = (y * y / x).sum(axis=-1) + y.sum(axis=-1) ** 2 / (1.0 - x.sum(axis=-1))
     return np.sqrt(s)
 
 

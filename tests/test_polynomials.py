@@ -269,6 +269,113 @@ def test_hull_branch_runs_no_grid(monkeypatch, square):
     assert cert.value == cert.upper == max(abs(b) for b in _bezier_ordinates(p).values())
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_settled_hull_is_a_vertex_maximum(monkeypatch, n):
+    """Where no ordinate exceeds max |p(vertex)|, that is the norm, found without edge roots."""
+    def no_edges(p):
+        raise AssertionError("the edge roots were computed")
+
+    monkeypatch.setattr(pl, "_edge_candidates", no_edges)
+    rng = np.random.default_rng(90 + n)
+    settled = 0
+    for _ in range(200):
+        p = pl.random_polynomial(n, rng)
+        vertex = max(abs(pl.evaluate(p, v)) for v in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]))
+        if np.abs(p.coeffs @ pl._bezier_map(n)).max(initial=0.0) <= vertex:
+            settled += 1
+            cert = pl.sup_norm_simplex(p)
+            assert cert.value == cert.upper == vertex
+    assert settled >= 100
+
+
+def _flat_order(n):
+    return [(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
+
+
+def _bernstein_sum(ords, n, lam):
+    """sum b_abc B_abc(lam) over the flat order of (a, b), c = n - a - b."""
+    return sum(o * math.comb(n, a) * math.comb(n - a, b) * lam[0] ** a * lam[1] ** b
+               * lam[2] ** (n - a - b) for (a, b), o in zip(_flat_order(n), ords))
+
+
+def _midpoint_children(P, Q, W):
+    """The four midpoint children, the two on the edge P-Q first, each listing that edge first."""
+    pq, qw, pw = (P + Q) / 2, (Q + W) / 2, (P + W) / 2
+    return [(P, pq, pw), (pq, Q, qw), (pw, qw, W), (qw, pw, pq)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_maps_reproduce_p(n):
+    """The ordinates of every centroid triangle and of each one's midpoint children give p."""
+    rng = np.random.default_rng(110 + n)
+    p = pl.random_polynomial(n, rng)
+    centroid, children, row = pl._split_maps(n)
+    N = pl.n_coefficients(n)
+    O, G = np.zeros(2), np.full(2, 1.0 / 3.0)
+    X, Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    leaves = list(zip((p.coeffs @ centroid).reshape(3, N), [(O, X, G), (X, Y, G), (Y, O, G)]))
+    for ords, corners in list(leaves):
+        leaves += zip((ords @ children).reshape(4, N), _midpoint_children(*corners))
+    assert len(leaves) == 15
+    for ords, corners in leaves:
+        scale = np.abs(ords).sum()
+        for lam in rng.dirichlet(np.ones(3), size=50):
+            want = pl.evaluate(p, lam @ np.array(corners))
+            assert abs(_bernstein_sum(ords, n, lam) - want) <= 1e-13 * scale
+    # row marks the ordinates free of the third corner: those on the first two corners' edge
+    assert row.tolist() == [a + b == n for a, b in _flat_order(n)]
+    # the edge rule is kept by exactly the children whose first two corners lie on P-Q
+    P, Q, W = np.eye(3)
+    on_pq = [abs(c[0][2]) + abs(c[1][2]) == 0.0 for c in _midpoint_children(P, Q, W)]
+    assert pl._MIDPOINT_ON_EDGE.tolist() == on_pq == [True, True, False, False]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_split_settles_nine_random_norms_in_ten(n):
+    rng = np.random.default_rng(130 + n)
+    certs = [pl.sup_norm_simplex(pl.random_polynomial(n, rng)) for _ in range(200)]
+    assert np.mean([c.value == c.upper for c in certs]) >= 0.9
+
+
+class _CountingMap:
+    """A split map that records how many leaves each split multiplies."""
+
+    __array_ufunc__ = None  # ndarray @ self defers to __rmatmul__
+
+    def __init__(self, matrix, counts):
+        self.matrix, self.counts = matrix, counts
+
+    def __rmatmul__(self, leaves):
+        self.counts.append(len(leaves))
+        return leaves @ self.matrix
+
+
+@pytest.mark.parametrize(
+    "p,norm",
+    [
+        # T_4 of l, l = 1 at the first vertex: |T_4 o l| = 1 along whole lines
+        (pl.chebyshev_transplant(4, 1.0, [-1.3, -0.4]), 1.0),
+        # x1 x2 (1 - x1 - x2): zero on the boundary, 1/27 at the centroid
+        (pl.TotalDegreePolynomial(3, np.array([0, 0, 0, 0, 0, 1, -1, 0, -1, 0.0])), 1.0 / 27.0),
+    ],
+)
+def test_split_leaves_ridges_and_interior_maxima_to_the_grid(monkeypatch, p, norm):
+    grids, counts = [], []
+    grid, maps = pl._grid, pl._split_maps
+
+    def counted_maps(n):
+        centroid, children, row = maps(n)
+        return centroid, _CountingMap(children, counts), row
+
+    monkeypatch.setattr(pl, "_grid", lambda *args: grids.append(args) or grid(*args))
+    monkeypatch.setattr(pl, "_split_maps", counted_maps)
+    cert = pl.sup_norm_simplex(p)
+    assert grids == [(p.degree, max(64, 8 * p.degree**2))]
+    assert cert.value == pytest.approx(norm, rel=1e-12) and cert.upper > cert.value
+    assert 1 <= len(counts) <= pl._SPLIT_DEPTH
+    assert max(counts) <= pl._SPLIT_OPEN
+
+
 _DENSE = 400
 _K, _L = np.divmod(np.arange((_DENSE + 1) ** 2), _DENSE + 1)
 _DENSE_NODES = np.stack([_K, _L], axis=1)[_K + _L <= _DENSE] / _DENSE
