@@ -4,13 +4,14 @@ Random bivariate polynomials and transplanted Chebyshev families are pushed
 through the Bernstein ratio |<grad p, y>| / (n sqrt(||p||^2 - p^2)) and
 compared against the pluripotential bound; p and its gradient come from one
 Horner pass.  The sup-norm on the simplex is bracketed: from below by |p| at
-the vertices and edge-derivative roots (the exact boundary maximum), at the
+the vertices and edge-derivative roots (the exact boundary maximum B), at the
 nodes of a tensor-product grid A @ c @ A.T cached per degree, and at
 Newton-polished interior points; from above by the largest |Bezier ordinate|
-(convex hull).  value == upper when the boundary maximum is proved to be the
-norm, by the hull or by the Bezier ordinates of a centroid split (a leaf on
-the boundary measures its edge row by that maximum); then no grid or Newton
-step runs.
+(convex hull).  value == upper == B when the hull or the Bezier ordinates of a
+centroid split (a leaf on the boundary measures its edge row by B) prove B to be
+the norm; value == B <= upper <= B (1 + 1e-12) when the ridge bound B + delta
+sqrt(2)/2 does, delta bounding p's flattest directional derivative, as on the
+Chebyshev transplants.  Then no grid or Newton step runs.
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
 class SupNormCertificate:
     """value <= ||p|| <= upper on the simplex, up to rounding: |p| at a vertex, edge
     critical point, grid node or polished interior point, and the largest |Bezier
-    ordinate|.  value == upper when the hull or the centroid split proved the
-    boundary maximum (a vertex value, if the hull did) to be the norm; then no grid
-    ran, and grid_resolution is the m it would have used.  value is p evaluated in
+    ordinate| or the ridge bound.  value == upper when the hull or the centroid split
+    proved the boundary maximum (a vertex value, if the hull did) to be the norm, and
+    value <= upper <= value (1 + 1e-12) when the ridge bound did; then no grid ran,
+    and grid_resolution is the m it would have used.  value is p evaluated in
     floats, so rounding can lift it above ||p||, by up to 9e-12 on the degree-8
     Chebyshev transplants, whose exact norms the cloud's catalog takes."""
 
@@ -288,6 +290,7 @@ _MIDPOINT_SPLIT = (
 _MIDPOINT_ON_EDGE = np.array([u[2] == v[2] == 0.0 for u, v, _ in _MIDPOINT_SPLIT])
 _SPLIT_DEPTH = 5
 _SPLIT_OPEN = 4
+_RIDGE_GAP = 1e-12
 
 
 def _subdivision_map(n: int, triangles) -> np.ndarray:
@@ -357,18 +360,31 @@ def _split_settles(p: TotalDegreePolynomial, boundary: float) -> bool:
     return False
 
 
-def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
-    """Sup-norm of p on the simplex from below, with the Bezier upper bound.
+def _ridge_bound(p: TotalDegreePolynomial) -> float:
+    """delta >= |D_u p| on the simplex: the largest |Bezier ordinate| of u . grad p, u
+    the left singular vector of the smaller singular value of the 2 x K stack of
+    grad p's ordinates, the direction along which a transplant's ridges run."""
+    tri = _triangle(p.degree - 1)
+    ordinates = np.stack([p._dx[:, :-1][tri], p._dy[:-1][tri]]) @ _bernstein_map(p.degree - 1)
+    u = np.linalg.svd(ordinates, full_matrices=False)[0][:, -1]
+    return float(np.abs(u @ ordinates).max())
 
-    Three stages, each run only when the one before cannot prove the norm:
+
+def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
+    """Sup-norm of p on the simplex from below, with an upper bound.
+
+    Four stages, each run only when the one before cannot prove the norm:
     (a) if no |Bezier ordinate| exceeds the largest |p| at the vertices, that is
     the norm (convex hull); a settled hull always means a vertex maximum, as an
     edge maximum inside the edge is a positive mix of the edge's ordinates.
-    (b) The exact boundary maximum, |p| at the vertices and at the real roots of
+    (b) The exact boundary maximum B, |p| at the vertices and at the real roots of
     p's derivative along each edge, is the norm if _split_settles proves it.
-    In both, value == upper.  (c) Otherwise the value is the largest of a grid
-    maximum, |p| at the edge roots and |p| at the ten best interior nodes after
-    Newton polish toward critical points, and upper is the hull's bound.  The
+    In both, value == upper.  (c) Along the u of _ridge_bound every point reaches
+    the boundary within half a chord, at most sqrt(2)/2, so ||p|| <= upper = B +
+    delta sqrt(2)/2, and value = B when upper <= B (1 + _RIDGE_GAP), as on the
+    transplants T_n o l of degree <= 5.  (d) Otherwise the value is the largest of
+    a grid maximum, |p| at the edge roots and |p| at the ten best interior nodes
+    after Newton polish toward critical points, and upper is the hull's bound.  The
     grid, with m = max(64, 8 n^2) lines per side, is one tensor product
     A @ c @ A.T over the nodes (k/m, l/m), restricted to the simplex by indices
     cached per degree; it holds the vertices.
@@ -385,6 +401,9 @@ def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
     boundary = max(vertex, float(on_edges.max(initial=0.0)))
     if _split_settles(p, boundary):
         return SupNormCertificate(value=boundary, grid_resolution=m, upper=boundary)
+    ridge = boundary + _ridge_bound(p) * math.sqrt(0.5)
+    if ridge <= boundary * (1.0 + _RIDGE_GAP):
+        return SupNormCertificate(value=boundary, grid_resolution=m, upper=ridge)
     A, nodes, n_int = _grid(n, m)
     vals = np.abs((A @ sq @ A.T).ravel()[nodes])
     top = nodes[np.argpartition(vals[:n_int], -10)[-10:]]

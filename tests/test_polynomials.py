@@ -8,6 +8,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from bernstein_bounds import polynomials as pl
 from bernstein_bounds import simplex as sx
@@ -99,9 +100,25 @@ def test_sup_norm_interior_maximum_is_polished():
     assert cert.upper == pytest.approx(1.0 / 6.0, rel=1e-15)
 
 
+def _lattice(m):
+    k, l = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    return np.stack([k, l], axis=1)[k + l <= m] / m
+
+
+def _transplant_at(n, v):
+    """T_n of the affine functional with vertex values v at (0, 0), (1, 0), (0, 1)."""
+    return pl.chebyshev_transplant(n, v[0], [v[1] - v[0], v[2] - v[0]])
+
+
+def _transplant(rng, n):
+    """T_n of an affine functional that is +-1 at a random vertex: its norm is 1."""
+    v = rng.uniform(-1.0, 1.0, size=3)
+    v[rng.integers(3)] = rng.choice([-1.0, 1.0])
+    return _transplant_at(n, v)
+
+
 def test_sup_norm_is_a_lower_bound_that_refinement_cannot_exceed():
-    k, l = np.divmod(np.arange(701**2), 701)
-    lattice = np.stack([k, l], axis=1)[k + l <= 700] / 700
+    lattice = _lattice(700)
     rng = np.random.default_rng(20)
     for _ in range(10):
         p = pl.random_polynomial(4, rng)
@@ -189,10 +206,7 @@ def test_transplants_up_to_degree_8_have_unit_norm():
     rng = np.random.default_rng(31)
     for n in range(1, 9):
         for _ in range(12):
-            v = rng.uniform(-1.0, 1.0, size=3)
-            v[rng.integers(3)] = rng.choice([-1.0, 1.0])
-            p = pl.chebyshev_transplant(n, v[0], [v[1] - v[0], v[2] - v[0]])
-            assert abs(pl.sup_norm_simplex(p).value - 1.0) <= 1e-10
+            assert abs(pl.sup_norm_simplex(_transplant(rng, n)).value - 1.0) <= 1e-10
 
 
 def test_sup_norm_of_constant_edges_and_tiny_grids():
@@ -350,16 +364,9 @@ class _CountingMap:
         return leaves @ self.matrix
 
 
-@pytest.mark.parametrize(
-    "p,norm",
-    [
-        # T_4 of l, l = 1 at the first vertex: |T_4 o l| = 1 along whole lines
-        (pl.chebyshev_transplant(4, 1.0, [-1.3, -0.4]), 1.0),
-        # x1 x2 (1 - x1 - x2): zero on the boundary, 1/27 at the centroid
-        (pl.TotalDegreePolynomial(3, np.array([0, 0, 0, 0, 0, 1, -1, 0, -1, 0.0])), 1.0 / 27.0),
-    ],
-)
-def test_split_leaves_ridges_and_interior_maxima_to_the_grid(monkeypatch, p, norm):
+def test_split_leaves_interior_maxima_to_the_grid(monkeypatch):
+    # x1 x2 (1 - x1 - x2): zero on the boundary, 1/27 at the centroid
+    p = pl.TotalDegreePolynomial(3, np.array([0, 0, 0, 0, 0, 1, -1, 0, -1, 0.0]))
     grids, counts = [], []
     grid, maps = pl._grid, pl._split_maps
 
@@ -371,14 +378,37 @@ def test_split_leaves_ridges_and_interior_maxima_to_the_grid(monkeypatch, p, nor
     monkeypatch.setattr(pl, "_split_maps", counted_maps)
     cert = pl.sup_norm_simplex(p)
     assert grids == [(p.degree, max(64, 8 * p.degree**2))]
-    assert cert.value == pytest.approx(norm, rel=1e-12) and cert.upper > cert.value
+    assert cert.value == pytest.approx(1.0 / 27.0, rel=1e-12) and cert.upper > cert.value
     assert 1 <= len(counts) <= pl._SPLIT_DEPTH
     assert max(counts) <= pl._SPLIT_OPEN
 
 
-_DENSE = 400
-_K, _L = np.divmod(np.arange((_DENSE + 1) ** 2), _DENSE + 1)
-_DENSE_NODES = np.stack([_K, _L], axis=1)[_K + _L <= _DENSE] / _DENSE
+# |T_n o l| = 1 along the lines l = cos(k pi / n); after the first, which is 1 at a
+# vertex too, they reach the norm only inside edges and along interior lines
+_RIDGES = [
+    pl.chebyshev_transplant(4, 1.0, [-1.3, -0.4]),
+    _transplant_at(2, (-0.5, 0.5, 0.9)),
+    _transplant_at(5, (-0.9, 0.2, 0.6)),
+    _transplant_at(3, (-1.0 / 3.0, 2.0 / 3.0, 0.1)),
+    _transplant_at(4, (0.6, -0.8, 0.95)),
+]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_ridge_settles_transplants_up_to_degree_5(monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("the grid search ran")
+
+    monkeypatch.setattr(pl, "_grid", refuse)
+    monkeypatch.setattr(pl, "_interior_polish", refuse)
+    rng = np.random.default_rng(60 + n)
+    for p in [_transplant(rng, n) for _ in range(200)] + [p for p in _RIDGES if p.degree == n]:
+        cert = pl.sup_norm_simplex(p)
+        assert cert.value <= cert.upper <= cert.value * (1.0 + 1e-12)
+        assert abs(cert.value - 1.0) <= 1e-10
+
+
+_DENSE_NODES = _lattice(400)
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,6 +419,37 @@ def test_certificate_brackets_a_dense_sample(n, seed):
     dense = np.abs(npp.polyval2d(_DENSE_NODES[:, 0], _DENSE_NODES[:, 1], p.square)).max()
     assert dense <= cert.upper * (1.0 + 1e-12)
     assert cert.value <= cert.upper
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_transplant_upper_bounds_a_dense_sample(n):
+    rng = np.random.default_rng(70 + n)
+    open_gaps = 0
+    for p in [_transplant(rng, n) for _ in range(16)] + [p for p in _RIDGES if p.degree == n]:
+        cert = pl.sup_norm_simplex(p)
+        dense = np.abs(npp.polyval2d(_DENSE_NODES[:, 0], _DENSE_NODES[:, 1], p.square)).max()
+        assert dense <= cert.upper * (1.0 + 1e-12)
+        open_gaps += cert.upper > cert.value * (1.0 + 1e-12)
+    # rounding leaves some ridge gaps above 1e-12 from degree 6 on, and the hull bounds
+    # those; the one open gap of these draws at degree 6 is 1.3e-12, too near to pin
+    if n != 6:
+        assert (open_gaps > 0) == (n > 6)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ridge_bound_holds_a_flattest_direction(n):
+    """delta bounds |D_u p| for its own unit u, so it is at least the least lattice max
+    of |D_u p| over all directions: the distance from 0 to the nearest edge line of the
+    hull of +-grad p on the lattice, from qhull and polyval2d of polyder's coefficients.
+    A finite set of directions would not do: when u falls between them, the least
+    lattice max over them can exceed delta.  A coarse lattice keeps the hull cheap."""
+    rng = np.random.default_rng(90 + n)
+    x1, x2 = _lattice(100).T
+    for _ in range(30):
+        p = pl.random_polynomial(n, rng)
+        grad = np.stack([npp.polyval2d(x1, x2, npp.polyder(p.square, axis=k)) for k in (0, 1)], axis=1)
+        flattest = -ConvexHull(np.concatenate([grad, -grad])).equations[:, 2].max()
+        assert pl._ridge_bound(p) >= (1.0 - 1e-12) * flattest
 
 
 _coordinates = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
