@@ -3,15 +3,15 @@
 Random bivariate polynomials and transplanted Chebyshev families are pushed
 through the Bernstein ratio |<grad p, y>| / (n sqrt(||p||^2 - p^2)) and
 compared against the pluripotential bound; p and its gradient come from one
-Horner pass.  The sup-norm on the simplex is bracketed: from below by |p| at
-the vertices and edge-derivative roots (the exact boundary maximum B), at the
-nodes of a tensor-product grid A @ c @ A.T cached per degree, and at
-Newton-polished interior points; from above by the largest |Bezier ordinate|
-(convex hull).  value == upper == B when the hull or the Bezier ordinates of a
-centroid split (a leaf on the boundary measures its edge row by B) prove B to be
-the norm; value == B <= upper <= B (1 + 1e-12) when the ridge bound B + delta
-sqrt(2)/2 does, delta bounding p's flattest directional derivative, as on the
-Chebyshev transplants.  Then no grid or Newton step runs.
+Horner pass.  The sup-norm on the simplex is bracketed by Bezier ordinates:
+from below by |p| at the vertices and edge-derivative roots (the exact boundary
+maximum B) and at the corners of subdivision leaves; from above by the largest
+|Bezier ordinate| (convex hull), by the ordinates of the leaves that a split of
+the simplex leaves open (a leaf on the boundary measures its edge row by B), or
+by the ridge bound B + delta sqrt(2)/2, delta bounding p's flattest directional
+derivative, as on the Chebyshev transplants.  value == upper == B when the hull
+or the split proves B to be the norm; otherwise subdivision closes an interior
+maximum to upper <= value (1 + 1e-14).
 """
 
 from __future__ import annotations
@@ -84,17 +84,6 @@ class TotalDegreePolynomial:
         stack[..., 0], stack[:-1, :, 1], stack[:, :-1, 2] = self.square, self._dx, self._dy
         return stack
 
-    @cached_property
-    def _newton_block(self):
-        """g1, g2, h11, h12, h22 side by side, each padded to (n+1) x (n+1)."""
-        n1 = self.degree + 1
-        parts = (self._dx, self._dy, _derivative(self._dx, 0), _derivative(self._dx, 1),
-                 _derivative(self._dy, 1))
-        block = np.zeros((n1, 5, n1))
-        for s, c in enumerate(parts):
-            block[: c.shape[0], s, : c.shape[1]] = c
-        return block.reshape(n1, 5 * n1)
-
 
 @lru_cache(maxsize=32)
 def _triangle(n: int) -> np.ndarray:
@@ -148,27 +137,18 @@ def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
 @dataclass(frozen=True)
 class SupNormCertificate:
     """value <= ||p|| <= upper on the simplex, up to rounding: |p| at a vertex, edge
-    critical point, grid node or polished interior point, and the largest |Bezier
-    ordinate| or the ridge bound.  value == upper when the hull or the centroid split
-    proved the boundary maximum (a vertex value, if the hull did) to be the norm, and
-    value <= upper <= value (1 + 1e-12) when the ridge bound did; then no grid ran,
-    and grid_resolution is the m it would have used.  value is p evaluated in
-    floats, so rounding can lift it above ||p||, by up to 9e-12 on the degree-8
-    Chebyshev transplants, whose exact norms the cloud's catalog takes."""
+    critical point or subdivision corner, and the least bound sup_norm_simplex
+    reached.  value == upper when the hull or the centroid split proved the boundary
+    maximum (a vertex value, if the hull did) to be the norm; upper <= value (1 +
+    1e-12) when the ridge bound did, and upper <= value (1 + 1e-14) when subdivision
+    closed an interior maximum.  value is p evaluated in floats, so rounding can
+    lift it above ||p||, by up to 5e-11 on the degree-8 Chebyshev transplants, whose
+    exact norms the cloud's catalog takes.  No grid runs; grid_resolution, max(64,
+    8 n^2), stays only because the benchmark in perfbench/ reads it."""
 
     value: float
     grid_resolution: int
     upper: float
-
-
-@lru_cache(maxsize=32)
-def _grid(n: int, m: int):
-    """A[k, i] = (k/m)^i, and the simplex nodes' flat indices, interior first."""
-    A = np.vander(np.arange(m + 1) / m, n + 1, increasing=True)
-    k, l = np.divmod(np.arange((m + 1) ** 2), m + 1)
-    interior = (k > 0) & (l > 0) & (k + l < m)
-    boundary = np.flatnonzero((k + l <= m) & ~interior)
-    return A, np.concatenate([np.flatnonzero(interior), boundary]), int(interior.sum())
 
 
 # edge e of the simplex is {origin[e] + t dir[e] : 0 <= t <= 1}: x2 = 0, x1 = 0, x2 = 1 - x1
@@ -219,33 +199,6 @@ def _edge_candidates(p: TotalDegreePolynomial) -> np.ndarray:
     return (_EDGE_ORIGIN + r.real[:, :, None] * _EDGE_DIR)[keep]
 
 
-def _inside(pts: np.ndarray) -> np.ndarray:
-    return (pts[:, 0] > 1e-12) & (pts[:, 1] > 1e-12) & (pts[:, 0] + pts[:, 1] < 1.0 - 1e-12)
-
-
-def _interior_polish(p: TotalDegreePolynomial, starts: np.ndarray) -> np.ndarray:
-    """Newton iteration toward critical points of p; the interior end points."""
-    n1 = p.degree + 1
-    block = p._newton_block
-    pts = starts.copy()
-    alive = np.ones(len(pts), dtype=bool)
-    for _ in range(40):
-        x = pts[alive]
-        powers = x[:, :, None] ** np.arange(n1)
-        g1, g2, a, b, c = ((powers[:, 0] @ block).reshape(len(x), 5, n1)
-                           * powers[:, 1, None, :]).sum(axis=2).T
-        det = a * c - b * b
-        ok = np.abs(det) > 1e-300
-        det = np.where(ok, det, 1.0)
-        step = np.where(ok, np.stack([-(c * g1 - b * g2), -(-b * g1 + a * g2)]) / det, 0.0).T
-        pts[alive] = x = x + step
-        moved = np.hypot(step[:, 0], step[:, 1])
-        alive[alive] = ok & _inside(x) & np.isfinite(moved) & ~(moved < 1e-14)
-        if not alive.any():
-            break
-    return pts[_inside(pts) & np.isfinite(pts).all(axis=1)]
-
-
 @lru_cache(maxsize=32)
 def _bernstein_map(n: int) -> np.ndarray:
     """B, read-only, with coeffs @ B the Bezier ordinates b_abc of p on the simplex,
@@ -288,9 +241,10 @@ _MIDPOINT_SPLIT = (
 )
 # the children whose first two corners lie on the leaf's first edge, free of its third corner
 _MIDPOINT_ON_EDGE = np.array([u[2] == v[2] == 0.0 for u, v, _ in _MIDPOINT_SPLIT])
-_SPLIT_DEPTH = 5
-_SPLIT_OPEN = 4
-_RIDGE_GAP = 1e-12
+# the split's budget before the ridge stage, and the search's after it: levels, open leaves
+_SPLIT_DEPTH, _SPLIT_OPEN = 5, 4
+_SEARCH_DEPTH, _SEARCH_OPEN = 40, 64
+_SEARCH_GAP, _RIDGE_GAP = 1e-14, 1e-12
 
 
 def _subdivision_map(n: int, triangles) -> np.ndarray:
@@ -319,45 +273,55 @@ def _subdivision_map(n: int, triangles) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _split_maps(n: int):
-    """(C, S, row), read-only: coeffs @ C the ordinates on the three centroid
-    triangles, a leaf's ordinates @ S those on its four midpoint children, and
-    row the mask of a leaf's ordinates on its first two corners' edge."""
+    """(C, S, row, corner), read-only: coeffs @ C the ordinates on the three centroid
+    triangles, a leaf's ordinates @ S those on its four midpoint children, row the
+    mask of a leaf's ordinates on its first two corners' edge, and corner the flat
+    indices of the ordinates at its corners, which are p there."""
     maps = (_bernstein_map(n) @ _subdivision_map(n, _CENTROID_SPLIT),
             _subdivision_map(n, _MIDPOINT_SPLIT),
-            np.argwhere(_triangle(n)).sum(axis=1) == n)
+            np.argwhere(_triangle(n)).sum(axis=1) == n,
+            np.array([0, n, n_coefficients(n) - 1]))
     for a in maps:
         a.setflags(write=False)
     return maps
 
 
-def _split_settles(p: TotalDegreePolynomial, boundary: float) -> bool:
-    """True when the Bezier ordinates of a split prove |p| <= boundary on the simplex.
+def _subdivide(p: TotalDegreePolynomial, boundary: float, depth: int, max_open: int):
+    """(lower, upper) bracketing ||p||, by Bezier subdivision from B = boundary, the
+    exact maximum of |p| on the simplex's boundary.
 
-    boundary is the exact maximum of |p| on the simplex's boundary.  The split
-    cuts the simplex at its centroid into three triangles with one boundary edge
-    each.  On such a leaf, the ordinates of the edge row sum to (1 - mu)^n p on
-    the edge, mu the barycentric coordinate of the third corner, so |p| is at
-    most max(boundary, the leaf's other |ordinates|), and the leaf is settled
-    when those are <= boundary; a leaf without a boundary edge needs every
-    ordinate there.  Open leaves split at their edge midpoints, and the two
-    children on the boundary edge keep the rule.  The split gives up beyond
-    _SPLIT_DEPTH levels or _SPLIT_OPEN open leaves: a maximum inside the
-    simplex, or a Chebyshev transplant's ridge, leaves it open at any depth.
+    The split cuts the simplex at its centroid into three triangles with one
+    boundary edge each.  On such a leaf, the ordinates of the edge row sum to
+    (1 - mu)^n p on the edge, mu the barycentric coordinate of the third corner,
+    so |p| there is at most max(B, the leaf's bound), the largest of its other
+    |ordinates|; a leaf without a boundary edge takes every ordinate.  lower
+    starts at B and rises to the leaves' corner ordinates, p at the corners, once
+    they beat B (1 + _SEARCH_GAP), so a boundary maximum keeps lower == B.  Leaves
+    whose bound exceeds lower split at their edge midpoints, the two children on a
+    boundary edge keeping the edge rule; the others are dropped, so upper =
+    max(lower, the largest bound) bounds ||p||.  The loop returns once upper <=
+    lower (1 + _SEARCH_GAP), after depth levels, or with more than max_open leaves
+    open: a Chebyshev transplant's ridge, where |p| reaches B along a line, keeps
+    leaves open at every depth.
     """
-    centroid, children, row = _split_maps(p.degree)
+    centroid, children, row, corner = _split_maps(p.degree)
     leaves = (p.coeffs @ centroid).reshape(3, -1)
     on_edge = np.ones(3, dtype=bool)
-    for level in range(_SPLIT_DEPTH + 1):
-        bound = np.abs(np.where(on_edge[:, None] & row, 0.0, leaves)).max(axis=1)
-        open_leaves = bound > boundary
-        n_open = int(open_leaves.sum())
-        if n_open == 0:
-            return True
-        if level == _SPLIT_DEPTH or n_open > _SPLIT_OPEN:
+    lower = boundary
+    for level in range(depth + 1):
+        ordinates = np.abs(leaves)
+        top = float(ordinates.take(corner, axis=1).max())
+        if top > boundary * (1.0 + _SEARCH_GAP):
+            lower = max(lower, top)
+        bound = np.where(on_edge[:, None] & row, 0.0, ordinates).max(axis=1)
+        upper = max(lower, float(bound.max()))
+        open_leaves = bound > lower
+        n_open = np.count_nonzero(open_leaves)
+        if upper <= lower * (1.0 + _SEARCH_GAP) or level == depth or n_open > max_open:
             break
         leaves = (leaves[open_leaves] @ children).reshape(4 * n_open, -1)
         on_edge = (on_edge[open_leaves, None] & _MIDPOINT_ON_EDGE).ravel()
-    return False
+    return lower, upper
 
 
 def _ridge_bound(p: TotalDegreePolynomial) -> float:
@@ -377,40 +341,35 @@ def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
     (a) if no |Bezier ordinate| exceeds the largest |p| at the vertices, that is
     the norm (convex hull); a settled hull always means a vertex maximum, as an
     edge maximum inside the edge is a positive mix of the edge's ordinates.
-    (b) The exact boundary maximum B, |p| at the vertices and at the real roots of
-    p's derivative along each edge, is the norm if _split_settles proves it.
-    In both, value == upper.  (c) Along the u of _ridge_bound every point reaches
-    the boundary within half a chord, at most sqrt(2)/2, so ||p|| <= upper = B +
-    delta sqrt(2)/2, and value = B when upper <= B (1 + _RIDGE_GAP), as on the
-    transplants T_n o l of degree <= 5.  (d) Otherwise the value is the largest of
-    a grid maximum, |p| at the edge roots and |p| at the ten best interior nodes
-    after Newton polish toward critical points, and upper is the hull's bound.  The
-    grid, with m = max(64, 8 n^2) lines per side, is one tensor product
-    A @ c @ A.T over the nodes (k/m, l/m), restricted to the simplex by indices
-    cached per degree; it holds the vertices.
+    (b) B, |p| at the vertices and at the real roots of p's derivative along each
+    edge, is the exact boundary maximum; a short _subdivide split proves it the
+    norm, value == upper == B, or closes the gap to _SEARCH_GAP.  (c) Along the u
+    of _ridge_bound every point reaches the boundary within half a chord, at most
+    sqrt(2)/2, so ||p|| <= upper = B + delta sqrt(2)/2, and value = B when upper <=
+    B (1 + _RIDGE_GAP), as on the transplants T_n o l of degree <= 5.  (d) A long
+    _subdivide search gives value, and upper is the least of its bound, the ridge
+    bound and the hull's, but not below value, which rounding can lift above them
+    on a degree 6-8 transplant.  The search closes an interior maximum to
+    _SEARCH_GAP; along a transplant's ridge it runs out of open leaves.
     """
     n = p.degree
     m = max(64, 8 * n * n)
     sq = p.square
     # p at (0, 0), (1, 0) and (0, 1): Horner's sums there, bit for bit
     vertex = float(np.abs([sq[0, 0], np.cumsum(sq[::-1, 0])[-1], np.cumsum(sq[0, ::-1])[-1]]).max())
-    upper = float(np.abs(p.coeffs @ _bezier_map(n)).max(initial=0.0))
-    if not upper > vertex:
+    hull = float(np.abs(p.coeffs @ _bezier_map(n)).max(initial=0.0))
+    if not hull > vertex:
         return SupNormCertificate(value=vertex, grid_resolution=m, upper=vertex)
     on_edges = np.abs(_value_and_gradient(p, _edge_candidates(p))[:, 0])
     boundary = max(vertex, float(on_edges.max(initial=0.0)))
-    if _split_settles(p, boundary):
-        return SupNormCertificate(value=boundary, grid_resolution=m, upper=boundary)
-    ridge = boundary + _ridge_bound(p) * math.sqrt(0.5)
-    if ridge <= boundary * (1.0 + _RIDGE_GAP):
-        return SupNormCertificate(value=boundary, grid_resolution=m, upper=ridge)
-    A, nodes, n_int = _grid(n, m)
-    vals = np.abs((A @ sq @ A.T).ravel()[nodes])
-    top = nodes[np.argpartition(vals[:n_int], -10)[-10:]]
-    starts = np.stack(np.divmod(top, m + 1), axis=1) / m
-    polished = np.abs(_value_and_gradient(p, _interior_polish(p, starts))[:, 0])
-    value = max(vals.max(), on_edges.max(initial=0.0), polished.max(initial=0.0))
-    return SupNormCertificate(value=float(value), grid_resolution=m, upper=upper)
+    lower, upper = _subdivide(p, boundary, _SPLIT_DEPTH, _SPLIT_OPEN)
+    if upper > lower * (1.0 + _SEARCH_GAP):
+        ridge = boundary + _ridge_bound(p) * math.sqrt(0.5)
+        if ridge <= boundary * (1.0 + _RIDGE_GAP):
+            return SupNormCertificate(value=boundary, grid_resolution=m, upper=ridge)
+        lower, upper = _subdivide(p, boundary, _SEARCH_DEPTH, _SEARCH_OPEN)
+        upper = max(lower, min(upper, ridge, hull))
+    return SupNormCertificate(value=lower, grid_resolution=m, upper=upper)
 
 
 def bernstein_ratio(p: TotalDegreePolynomial, x, y, norm: float) -> float:
@@ -464,8 +423,9 @@ def verify_upper_bound(degree: int, trials: int, seed: int) -> dict:
     """Randomized check that the Bernstein ratio never beats the bound.
 
     Each trial draws coefficients uniform in [-1, 1], an interior point with
-    boundary margin 1e-3, and a direction; violations beyond the slack 1e-3
-    (which absorbs sup-norm underestimation) are reported, not raised.
+    boundary margin 1e-3, and a direction; violations beyond the slack 1e-3 are
+    reported, not raised.  The certificate's gap bounds how far its value can
+    sit below the norm, far inside the slack.
     Per-trial seeds descend deterministically from (seed, trial index).
     """
     if not 1 <= degree <= 8:

@@ -1,6 +1,7 @@
 """Pin OpenBLAS to one thread, as CI and the benchmark do, before any test imports numpy.
 
-An unpinned thread pool slows the sup-norm grid product under contention.
+The tests run many small matrix products, which an unpinned thread pool only
+slows under contention.
 """
 
 import os

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -8,6 +9,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
 from bernstein_bounds import polynomials as pl
@@ -87,7 +89,7 @@ def test_sup_norm_cases(p, expected):
     assert cert.value == pytest.approx(expected, rel=1e-12)
 
 
-def test_sup_norm_interior_maximum_is_polished():
+def test_sup_norm_interior_maximum_closes_its_gap():
     # x1 x2 (1 - x1 - x2) peaks strictly inside, at the centroid, with value 1/27
     coeffs = np.zeros(10)
     coeffs[5] = 1.0  # (1,1)
@@ -95,9 +97,10 @@ def test_sup_norm_interior_maximum_is_polished():
     coeffs[8] = -1.0  # (2,1)
     p = pl.TotalDegreePolynomial(3, coeffs)
     cert = pl.sup_norm_simplex(p)
-    assert cert.value == pytest.approx(1.0 / 27.0, rel=1e-10)
-    # x1 x2 x3 = B_111 / 6: its one nonzero Bezier ordinate, 1/6, leaves the hull unsettled
-    assert cert.upper == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert cert.value == pytest.approx(1.0 / 27.0, rel=1e-14)
+    # x1 x2 x3 = B_111 / 6: its one nonzero Bezier ordinate, 1/6, leaves the hull
+    # unsettled, and subdivision brings the upper bound down to the value
+    assert cert.value <= cert.upper <= cert.value * (1.0 + 1e-14)
 
 
 def _lattice(m):
@@ -273,11 +276,10 @@ def test_hull_settles_most_random_norms(n):
     ],
 )
 def test_hull_branch_runs_no_grid(monkeypatch, square):
-    def no_grid(*args):
-        raise AssertionError("the grid ran")
+    def no_subdivision(*args):
+        raise AssertionError("the split or the search ran")
 
-    monkeypatch.setattr(pl, "_grid", no_grid)
-    monkeypatch.setattr(pl, "_interior_polish", no_grid)
+    monkeypatch.setattr(pl, "_subdivide", no_subdivision)
     p = pl.TotalDegreePolynomial.from_square(2, np.array(square))
     cert = pl.sup_norm_simplex(p)
     assert cert.value == cert.upper == max(abs(b) for b in _bezier_ordinates(p).values())
@@ -323,7 +325,7 @@ def test_split_maps_reproduce_p(n):
     """The ordinates of every centroid triangle and of each one's midpoint children give p."""
     rng = np.random.default_rng(110 + n)
     p = pl.random_polynomial(n, rng)
-    centroid, children, row = pl._split_maps(n)
+    centroid, children, row, corner = pl._split_maps(n)
     N = pl.n_coefficients(n)
     O, G = np.zeros(2), np.full(2, 1.0 / 3.0)
     X, Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -336,6 +338,9 @@ def test_split_maps_reproduce_p(n):
         for lam in rng.dirichlet(np.ones(3), size=50):
             want = pl.evaluate(p, lam @ np.array(corners))
             assert abs(_bernstein_sum(ords, n, lam) - want) <= 1e-13 * scale
+        # corner picks the ordinates at the corners, in the order (0, 0, 1), (0, 1, 0), (1, 0, 0)
+        want = [pl.evaluate(p, c) for c in np.array(corners)[::-1]]
+        assert ords[corner] == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
     # row marks the ordinates free of the third corner: those on the first two corners' edge
     assert row.tolist() == [a + b == n for a, b in _flat_order(n)]
     # the edge rule is kept by exactly the children whose first two corners lie on P-Q
@@ -364,23 +369,25 @@ class _CountingMap:
         return leaves @ self.matrix
 
 
-def test_split_leaves_interior_maxima_to_the_grid(monkeypatch):
+def test_split_leaves_interior_maxima_to_the_search(monkeypatch):
     # x1 x2 (1 - x1 - x2): zero on the boundary, 1/27 at the centroid
     p = pl.TotalDegreePolynomial(3, np.array([0, 0, 0, 0, 0, 1, -1, 0, -1, 0.0]))
-    grids, counts = [], []
-    grid, maps = pl._grid, pl._split_maps
+    calls, maps = [], pl._split_maps
 
     def counted_maps(n):
-        centroid, children, row = maps(n)
-        return centroid, _CountingMap(children, counts), row
+        centroid, children, row, corner = maps(n)
+        calls.append([])
+        return centroid, _CountingMap(children, calls[-1]), row, corner
 
-    monkeypatch.setattr(pl, "_grid", lambda *args: grids.append(args) or grid(*args))
     monkeypatch.setattr(pl, "_split_maps", counted_maps)
     cert = pl.sup_norm_simplex(p)
-    assert grids == [(p.degree, max(64, 8 * p.degree**2))]
-    assert cert.value == pytest.approx(1.0 / 27.0, rel=1e-12) and cert.upper > cert.value
-    assert 1 <= len(counts) <= pl._SPLIT_DEPTH
-    assert max(counts) <= pl._SPLIT_OPEN
+    split, search = calls  # the split gives up within its budget, and the search closes
+    assert 1 <= len(split) <= pl._SPLIT_DEPTH
+    assert max(split) <= pl._SPLIT_OPEN
+    assert len(search) <= pl._SEARCH_DEPTH
+    assert max(search) <= pl._SEARCH_OPEN
+    assert cert.value == pytest.approx(1.0 / 27.0, rel=1e-14)
+    assert cert.value <= cert.upper <= cert.value * (1.0 + 1e-14)
 
 
 # |T_n o l| = 1 along the lines l = cos(k pi / n); after the first, which is 1 at a
@@ -396,11 +403,14 @@ _RIDGES = [
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_ridge_settles_transplants_up_to_degree_5(monkeypatch, n):
-    def refuse(*args):
-        raise AssertionError("the grid search ran")
+    subdivide = pl._subdivide
 
-    monkeypatch.setattr(pl, "_grid", refuse)
-    monkeypatch.setattr(pl, "_interior_polish", refuse)
+    def split_only(p, boundary, depth, max_open):
+        if (depth, max_open) != (pl._SPLIT_DEPTH, pl._SPLIT_OPEN):
+            raise AssertionError("the search ran")
+        return subdivide(p, boundary, depth, max_open)
+
+    monkeypatch.setattr(pl, "_subdivide", split_only)
     rng = np.random.default_rng(60 + n)
     for p in [_transplant(rng, n) for _ in range(200)] + [p for p in _RIDGES if p.degree == n]:
         cert = pl.sup_norm_simplex(p)
@@ -434,6 +444,55 @@ def test_transplant_upper_bounds_a_dense_sample(n):
     # those; the one open gap of these draws at degree 6 is 1.3e-12, too near to pin
     if n != 6:
         assert (open_gaps > 0) == (n > 6)
+
+
+@functools.lru_cache(maxsize=None)
+def _random_certificates(n):
+    rng = np.random.default_rng(150 + n)
+    return [(p, pl.sup_norm_simplex(p)) for p in (pl.random_polynomial(n, rng) for _ in range(300))]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_random_certificates_close_to_1e_12(n):
+    for _, cert in _random_certificates(n):
+        assert cert.value <= cert.upper <= cert.value * (1.0 + 1e-12)
+
+
+_LATTICE_200 = _lattice(200)
+
+
+def _slsqp_max(p, start):
+    """|p| at a local maximum on the simplex: SLSQP from start, with p and grad p from
+    polyval2d of the square and of polyder's coefficients, projected back on the simplex."""
+    sq = p.square
+    sign = np.sign(npp.polyval2d(*start, sq))
+    d1, d2 = npp.polyder(sq, axis=0), npp.polyder(sq, axis=1)
+    res = minimize(
+        lambda x: -sign * npp.polyval2d(x[0], x[1], sq), start,
+        jac=lambda x: -sign * np.array([npp.polyval2d(x[0], x[1], d1), npp.polyval2d(x[0], x[1], d2)]),
+        method="SLSQP", bounds=[(0.0, 1.0)] * 2, options={"ftol": 1e-16, "maxiter": 200},
+        constraints=[{"type": "ineq", "fun": lambda x: 1.0 - x[0] - x[1],
+                      "jac": lambda x: np.array([-1.0, -1.0])}],
+    )
+    x = np.clip(res.x, 0.0, 1.0)
+    x /= max(1.0, x.sum())
+    return abs(float(npp.polyval2d(x[0], x[1], sq)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_searched_norms_match_an_slsqp_polish(n):
+    """Where neither the hull nor the split proves the norm (value != upper), SLSQP from
+    the best node of a 200-lattice finds r with r <= upper and value >= r (1 - 1e-13)."""
+    x1, x2 = _LATTICE_200.T
+    searched = 0
+    for p, cert in _random_certificates(n):
+        if cert.value == cert.upper:
+            continue
+        searched += 1
+        r = _slsqp_max(p, _LATTICE_200[np.argmax(np.abs(npp.polyval2d(x1, x2, p.square)))])
+        assert r <= cert.upper
+        assert cert.value >= r * (1.0 - 1e-13)
+    assert searched >= 1
 
 
 @pytest.mark.parametrize("n", range(2, 9))
