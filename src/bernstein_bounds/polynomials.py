@@ -6,12 +6,12 @@ compared against the pluripotential bound; p and its gradient come from one
 Horner pass.  The sup-norm on the simplex is bracketed by Bezier ordinates:
 from below by |p| at the vertices and edge-derivative roots (the exact boundary
 maximum B) and at the corners of subdivision leaves; from above by the largest
-|Bezier ordinate| (convex hull), by the ordinates of the leaves that a split of
-the simplex leaves open (a leaf on the boundary measures its edge row by B), or
-by the ridge bound B + delta sqrt(2)/2, delta bounding p's flattest directional
-derivative, as on the Chebyshev transplants.  value == upper == B when the hull
-or the split proves B to be the norm; otherwise subdivision closes an interior
-maximum to upper <= value (1 + 1e-14).
+|Bezier ordinate| (convex hull), by the ridge bound B + delta sqrt(2)/2, delta
+bounding p's flattest directional derivative, as on the Chebyshev transplants,
+or by the ordinates of the leaves that a search from the centroid leaves open
+(a leaf on the boundary measures its edge row by B).  value == upper == B when
+the hull or the search proves B to be the norm; otherwise the search closes an
+interior maximum to upper <= value (1 + 1e-14).
 """
 
 from __future__ import annotations
@@ -138,11 +138,11 @@ def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
 class SupNormCertificate:
     """value <= ||p|| <= upper on the simplex, up to rounding: |p| at a vertex, edge
     critical point or subdivision corner, and the least bound sup_norm_simplex
-    reached.  value == upper when the hull or the centroid split proved the boundary
-    maximum (a vertex value, if the hull did) to be the norm; upper <= value (1 +
-    1e-12) when the ridge bound did, and upper <= value (1 + 1e-14) when subdivision
-    closed an interior maximum.  value is p evaluated in floats, so rounding can
-    lift it above ||p||, by up to 5e-11 on the degree-8 Chebyshev transplants, whose
+    reached.  value == upper when the hull or the search proved the boundary maximum
+    (a vertex value, if the hull did) to be the norm; upper <= value (1 + 1e-12)
+    when the ridge bound did, and upper <= value (1 + 1e-14) when the search closed
+    an interior maximum.  value is p evaluated in floats, so rounding can lift it
+    above ||p||, by up to 5e-11 on the degree-8 Chebyshev transplants, whose
     exact norms the cloud's catalog takes.  No grid runs; grid_resolution, max(64,
     8 n^2), stays only because the benchmark in perfbench/ reads it."""
 
@@ -224,7 +224,7 @@ def _bezier_map(n: int) -> np.ndarray:
     return np.ascontiguousarray(_bernstein_map(n)[:, (ab.sum(axis=1) > 0) & (ab.max(axis=1) < n)])
 
 
-# the corners of the centroid split's three triangles and of a leaf's four
+# the corners of the search's three centroid triangles and of a leaf's four
 # midpoint children, as barycentric weights of (x1, x2, x3); the first two
 # corners span the triangle's boundary edge, where it has one
 _THIRD = (1.0 / 3.0,) * 3
@@ -241,9 +241,7 @@ _MIDPOINT_SPLIT = (
 )
 # the children whose first two corners lie on the leaf's first edge, free of its third corner
 _MIDPOINT_ON_EDGE = np.array([u[2] == v[2] == 0.0 for u, v, _ in _MIDPOINT_SPLIT])
-# the split's budget before the ridge stage, and the search's after it: levels, open leaves
-_SPLIT_DEPTH, _SPLIT_OPEN = 5, 4
-_SEARCH_DEPTH, _SEARCH_OPEN = 40, 64
+_SEARCH_DEPTH, _SEARCH_OPEN = 40, 64  # the search's budget: levels, open leaves
 _SEARCH_GAP, _RIDGE_GAP = 1e-14, 1e-12
 
 
@@ -286,11 +284,11 @@ def _split_maps(n: int):
     return maps
 
 
-def _subdivide(p: TotalDegreePolynomial, boundary: float, depth: int, max_open: int):
+def _subdivide(p: TotalDegreePolynomial, boundary: float):
     """(lower, upper) bracketing ||p||, by Bezier subdivision from B = boundary, the
     exact maximum of |p| on the simplex's boundary.
 
-    The split cuts the simplex at its centroid into three triangles with one
+    It cuts the simplex at its centroid into three triangles with one
     boundary edge each.  On such a leaf, the ordinates of the edge row sum to
     (1 - mu)^n p on the edge, mu the barycentric coordinate of the third corner,
     so |p| there is at most max(B, the leaf's bound), the largest of its other
@@ -300,15 +298,15 @@ def _subdivide(p: TotalDegreePolynomial, boundary: float, depth: int, max_open: 
     whose bound exceeds lower split at their edge midpoints, the two children on a
     boundary edge keeping the edge rule; the others are dropped, so upper =
     max(lower, the largest bound) bounds ||p||.  The loop returns once upper <=
-    lower (1 + _SEARCH_GAP), after depth levels, or with more than max_open leaves
-    open: a Chebyshev transplant's ridge, where |p| reaches B along a line, keeps
-    leaves open at every depth.
+    lower (1 + _SEARCH_GAP), after _SEARCH_DEPTH levels, or with more than
+    _SEARCH_OPEN leaves open: a Chebyshev transplant's ridge, where |p| reaches B
+    along a line, keeps leaves open at every depth.
     """
     centroid, children, row, corner = _split_maps(p.degree)
     leaves = (p.coeffs @ centroid).reshape(3, -1)
     on_edge = np.ones(3, dtype=bool)
     lower = boundary
-    for level in range(depth + 1):
+    for level in range(_SEARCH_DEPTH + 1):
         ordinates = np.abs(leaves)
         top = float(ordinates.take(corner, axis=1).max())
         if top > boundary * (1.0 + _SEARCH_GAP):
@@ -317,7 +315,7 @@ def _subdivide(p: TotalDegreePolynomial, boundary: float, depth: int, max_open: 
         upper = max(lower, float(bound.max()))
         open_leaves = bound > lower
         n_open = np.count_nonzero(open_leaves)
-        if upper <= lower * (1.0 + _SEARCH_GAP) or level == depth or n_open > max_open:
+        if upper <= lower * (1.0 + _SEARCH_GAP) or level == _SEARCH_DEPTH or n_open > _SEARCH_OPEN:
             break
         leaves = (leaves[open_leaves] @ children).reshape(4 * n_open, -1)
         on_edge = (on_edge[open_leaves, None] & _MIDPOINT_ON_EDGE).ravel()
@@ -327,30 +325,31 @@ def _subdivide(p: TotalDegreePolynomial, boundary: float, depth: int, max_open: 
 def _ridge_bound(p: TotalDegreePolynomial) -> float:
     """delta >= |D_u p| on the simplex: the largest |Bezier ordinate| of u . grad p, u
     the left singular vector of the smaller singular value of the 2 x K stack of
-    grad p's ordinates, the direction along which a transplant's ridges run."""
+    grad p's ordinates, the direction along which a transplant's ridges run.  The SVD
+    reads them scaled by a power of 2 into [1/2, 1), so delta scales with p exactly."""
     tri = _triangle(p.degree - 1)
     ordinates = np.stack([p._dx[:, :-1][tri], p._dy[:-1][tri]]) @ _bernstein_map(p.degree - 1)
-    u = np.linalg.svd(ordinates, full_matrices=False)[0][:, -1]
+    exponent = math.frexp(float(np.abs(ordinates).max()))[1]
+    u = np.linalg.svd(np.ldexp(ordinates, -exponent), full_matrices=False)[0][:, -1]
     return float(np.abs(u @ ordinates).max())
 
 
 def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
     """Sup-norm of p on the simplex from below, with an upper bound.
 
-    Four stages, each run only when the one before cannot prove the norm:
+    Three stages, each run only when the one before cannot prove the norm:
     (a) if no |Bezier ordinate| exceeds the largest |p| at the vertices, that is
     the norm (convex hull); a settled hull always means a vertex maximum, as an
     edge maximum inside the edge is a positive mix of the edge's ordinates.
     (b) B, |p| at the vertices and at the real roots of p's derivative along each
-    edge, is the exact boundary maximum; a short _subdivide split proves it the
-    norm, value == upper == B, or closes the gap to _SEARCH_GAP.  (c) Along the u
-    of _ridge_bound every point reaches the boundary within half a chord, at most
-    sqrt(2)/2, so ||p|| <= upper = B + delta sqrt(2)/2, and value = B when upper <=
-    B (1 + _RIDGE_GAP), as on the transplants T_n o l of degree <= 5.  (d) A long
-    _subdivide search gives value, and upper is the least of its bound, the ridge
-    bound and the hull's, but not below value, which rounding can lift above them
-    on a degree 6-8 transplant.  The search closes an interior maximum to
-    _SEARCH_GAP; along a transplant's ridge it runs out of open leaves.
+    edge, is the exact boundary maximum.  Along the u of _ridge_bound every point
+    reaches the boundary within half a chord, at most sqrt(2)/2, so ||p|| <= upper
+    = B + delta sqrt(2)/2, and value = B when upper <= B (1 + _RIDGE_GAP), as on
+    the transplants T_n o l of degree <= 5.  (c) The _subdivide search from the
+    centroid proves B the norm, value == upper == B, or closes an interior maximum
+    to _SEARCH_GAP; along a transplant's ridge it runs out of open leaves.  upper is
+    the lesser of its bound and the ridge bound, but not below value, which rounding
+    can lift above them on a degree 6-8 transplant.
     """
     n = p.degree
     m = max(64, 8 * n * n)
@@ -362,14 +361,11 @@ def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
         return SupNormCertificate(value=vertex, grid_resolution=m, upper=vertex)
     on_edges = np.abs(_value_and_gradient(p, _edge_candidates(p))[:, 0])
     boundary = max(vertex, float(on_edges.max(initial=0.0)))
-    lower, upper = _subdivide(p, boundary, _SPLIT_DEPTH, _SPLIT_OPEN)
-    if upper > lower * (1.0 + _SEARCH_GAP):
-        ridge = boundary + _ridge_bound(p) * math.sqrt(0.5)
-        if ridge <= boundary * (1.0 + _RIDGE_GAP):
-            return SupNormCertificate(value=boundary, grid_resolution=m, upper=ridge)
-        lower, upper = _subdivide(p, boundary, _SEARCH_DEPTH, _SEARCH_OPEN)
-        upper = max(lower, min(upper, ridge, hull))
-    return SupNormCertificate(value=lower, grid_resolution=m, upper=upper)
+    ridge = boundary + _ridge_bound(p) * math.sqrt(0.5)
+    if ridge <= boundary * (1.0 + _RIDGE_GAP):
+        return SupNormCertificate(value=boundary, grid_resolution=m, upper=ridge)
+    lower, upper = _subdivide(p, boundary)
+    return SupNormCertificate(value=lower, grid_resolution=m, upper=max(lower, min(upper, ridge)))
 
 
 def bernstein_ratio(p: TotalDegreePolynomial, x, y, norm: float) -> float:
@@ -506,6 +502,8 @@ def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):
     x = check_interior(np.asarray(x, dtype=float))
     if not 1 <= degree <= 8:
         raise ValueError("degree must be in [1, 8]")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     samples = []
     children = np.random.SeedSequence(seed).spawn(trials)
     for child in children:

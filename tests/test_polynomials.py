@@ -267,6 +267,10 @@ def test_hull_settles_most_random_norms(n):
     assert all(type(c.grid_resolution) is int for c in certs)
 
 
+def _no_search(*args):
+    raise AssertionError("the search ran")
+
+
 @pytest.mark.parametrize(
     "square",
     [
@@ -276,10 +280,7 @@ def test_hull_settles_most_random_norms(n):
     ],
 )
 def test_hull_branch_runs_no_grid(monkeypatch, square):
-    def no_subdivision(*args):
-        raise AssertionError("the split or the search ran")
-
-    monkeypatch.setattr(pl, "_subdivide", no_subdivision)
+    monkeypatch.setattr(pl, "_subdivide", _no_search)
     p = pl.TotalDegreePolynomial.from_square(2, np.array(square))
     cert = pl.sup_norm_simplex(p)
     assert cert.value == cert.upper == max(abs(b) for b in _bezier_ordinates(p).values())
@@ -350,7 +351,7 @@ def test_split_maps_reproduce_p(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_split_settles_nine_random_norms_in_ten(n):
+def test_search_settles_nine_random_norms_in_ten(n):
     rng = np.random.default_rng(130 + n)
     certs = [pl.sup_norm_simplex(pl.random_polynomial(n, rng)) for _ in range(200)]
     assert np.mean([c.value == c.upper for c in certs]) >= 0.9
@@ -381,10 +382,8 @@ def test_split_leaves_interior_maxima_to_the_search(monkeypatch):
 
     monkeypatch.setattr(pl, "_split_maps", counted_maps)
     cert = pl.sup_norm_simplex(p)
-    split, search = calls  # the split gives up within its budget, and the search closes
-    assert 1 <= len(split) <= pl._SPLIT_DEPTH
-    assert max(split) <= pl._SPLIT_OPEN
-    assert len(search) <= pl._SEARCH_DEPTH
+    (search,) = calls  # one search: the centroid split is its first level, and it closes
+    assert 1 <= len(search) <= pl._SEARCH_DEPTH
     assert max(search) <= pl._SEARCH_OPEN
     assert cert.value == pytest.approx(1.0 / 27.0, rel=1e-14)
     assert cert.value <= cert.upper <= cert.value * (1.0 + 1e-14)
@@ -403,14 +402,7 @@ _RIDGES = [
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_ridge_settles_transplants_up_to_degree_5(monkeypatch, n):
-    subdivide = pl._subdivide
-
-    def split_only(p, boundary, depth, max_open):
-        if (depth, max_open) != (pl._SPLIT_DEPTH, pl._SPLIT_OPEN):
-            raise AssertionError("the search ran")
-        return subdivide(p, boundary, depth, max_open)
-
-    monkeypatch.setattr(pl, "_subdivide", split_only)
+    monkeypatch.setattr(pl, "_subdivide", _no_search)
     rng = np.random.default_rng(60 + n)
     for p in [_transplant(rng, n) for _ in range(200)] + [p for p in _RIDGES if p.degree == n]:
         cert = pl.sup_norm_simplex(p)
@@ -458,6 +450,18 @@ def test_random_certificates_close_to_1e_12(n):
         assert cert.value <= cert.upper <= cert.value * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certificates_scale_exactly_by_powers_of_2(n):
+    """Scaling p by 2^k scales value and upper by 2^k, bit for bit: every stage is
+    linear in p, or a ratio of its coefficients, once the ridge SVD is scale-free."""
+    rng = np.random.default_rng(170 + n)
+    for p in [pl.random_polynomial(n, rng) for _ in range(30)] + [_transplant(rng, n) for _ in range(30)]:
+        cert = pl.sup_norm_simplex(p)
+        for k in (900, -900):
+            scaled = pl.sup_norm_simplex(pl.TotalDegreePolynomial(n, np.ldexp(p.coeffs, k)))
+            assert (scaled.value, scaled.upper) == (np.ldexp(cert.value, k), np.ldexp(cert.upper, k))
+
+
 _LATTICE_200 = _lattice(200)
 
 
@@ -481,7 +485,7 @@ def _slsqp_max(p, start):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_searched_norms_match_an_slsqp_polish(n):
-    """Where neither the hull nor the split proves the norm (value != upper), SLSQP from
+    """Where neither the hull nor the search proves the norm (value != upper), SLSQP from
     the best node of a 200-lattice finds r with r <= upper and value >= r (1 - 1e-13)."""
     x1, x2 = _LATTICE_200.T
     searched = 0
@@ -725,6 +729,8 @@ def test_gradient_cloud_validates_inputs():
         pl.empirical_gradient_cloud(np.array([0.6, 0.6]), degree=2, trials=5, seed=0)
     with pytest.raises(ValueError):
         pl.empirical_gradient_cloud(M, degree=0, trials=5, seed=0)
+    with pytest.raises(ValueError):
+        pl.empirical_gradient_cloud(np.array([0.3, 0.3]), degree=2, trials=-5, seed=1)
 
 
 @pytest.mark.parametrize(
