@@ -2,8 +2,16 @@
 
 Random bivariate polynomials and transplanted Chebyshev families are pushed
 through the Bernstein ratio |<grad p, y>| / (n sqrt(||p||^2 - p^2)) and
-compared against the pluripotential bound; p and its gradient come from one
-Horner pass.  The sup-norm on the simplex is bracketed by Bezier ordinates:
+compared against the pluripotential bound.  A polynomial is held as the stack
+of p, d/dx1 p and d/dx2 p (its square is the first layer), and p and its
+gradient come from one Horner pass over it.  A stack with a leading axis takes
+many polynomials through the same pass, each row getting the bits it gets
+alone: verify_upper_bound draws all its trials first and then evaluates them in
+one pass per call, the gradient cloud each degree's 60 transplants.  The sup
+norm and the bound D(x, y) stay one call per trial, as the benchmark's tracer
+(perfbench/) counts one of each per trial until ROADMAP item 1 replaces it.
+
+The sup-norm on the simplex is bracketed by Bezier ordinates:
 from below by |p| at the vertices and edge-derivative roots (the exact boundary
 maximum B) and at the corners of subdivision leaves; from above by the largest
 |Bezier ordinate| (convex hull), by the ridge bound B + delta sqrt(2)/2, delta
@@ -53,7 +61,7 @@ class TotalDegreePolynomial:
             raise ValueError(
                 f"degree {self.degree} needs {n_coefficients(self.degree)} coefficients"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -62,27 +70,20 @@ class TotalDegreePolynomial:
         n1 = degree + 1
         return cls(degree=degree, coeffs=square[:n1, :n1][_triangle(degree)])
 
-    @cached_property
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray) -> "TotalDegreePolynomial":
+        """The polynomial of a _build_stack row (n+1, n+1, 3), which it keeps as its stack."""
+        p = cls.from_square(stack.shape[0] - 1, stack[..., 0])
+        p.__dict__["_stack"] = stack  # fills the cached_property
+        return p
+
+    @property
     def square(self) -> np.ndarray:
-        c = np.zeros((self.degree + 1, self.degree + 1))
-        c[_triangle(self.degree)] = self.coeffs
-        return c
-
-    @cached_property
-    def _dx(self):
-        return _derivative(self.square, 0)
-
-    @cached_property
-    def _dy(self):
-        return _derivative(self.square, 1)
+        return self._stack[..., 0]
 
     @cached_property
     def _stack(self):
-        """p, d/dx1 p and d/dx2 p side by side, shape (n+1, n+1, 3), zero padded."""
-        n1 = self.degree + 1
-        stack = np.zeros((n1, n1, 3))
-        stack[..., 0], stack[:-1, :, 1], stack[:, :-1, 2] = self.square, self._dx, self._dy
-        return stack
+        return _build_stack(self.degree, self.coeffs)
 
 
 @lru_cache(maxsize=32)
@@ -95,36 +96,60 @@ def _triangle(n: int) -> np.ndarray:
     return mask
 
 
-def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
-    """Coefficients of d/dx1 (axis 0) or d/dx2 (axis 1), by index scaling."""
-    k = np.arange(1, c.shape[axis], dtype=float)
-    return c[1:] * k[:, None] if axis == 0 else c[:, 1:] * k
+@lru_cache(maxsize=32)
+def _stack_map(n: int):
+    """(pos, src, scale), read-only: a stack of _build_stack, flattened, holds
+    coeffs[..., src] * scale at pos.  Coefficient (i, j) sits in the square at (i, j),
+    times i in d/dx1 p at (i-1, j) and times j in d/dx2 p at (i, j-1)."""
+    n1 = n + 1
+    i, j = np.argwhere(_triangle(n)).T
+    k = np.arange(len(i))
+    di, dj = i > 0, j > 0
+    maps = (np.concatenate([(i * n1 + j) * 3, ((i[di] - 1) * n1 + j[di]) * 3 + 1,
+                            (i[dj] * n1 + j[dj] - 1) * 3 + 2]),
+            np.concatenate([k, k[di], k[dj]]),
+            np.concatenate([np.ones(len(k)), i[di], j[dj]]).astype(float))
+    for a in maps:
+        a.setflags(write=False)
+    return maps
 
 
-def _value_and_gradient(p: TotalDegreePolynomial, points) -> np.ndarray:
-    """[p, d/dx1 p, d/dx2 p] at points (..., 2), shape (..., 3): Horner in x1, then x2,
-    over p._stack, as polyval2d of p.square, p._dx and p._dy, bit for bit."""
+def _build_stack(degree: int, coeffs: np.ndarray) -> np.ndarray:
+    """p, d/dx1 p and d/dx2 p side by side, shape (..., n+1, n+1, 3), zero padded, for
+    coefficient rows (..., K) in the flat order; [..., 0] is the square."""
+    pos, src, scale = _stack_map(degree)
+    lead = coeffs.shape[:-1]
+    flat = np.zeros(lead + (3 * (degree + 1) ** 2,))
+    flat[..., pos] = coeffs[..., src] * scale
+    return flat.reshape(lead + (degree + 1, degree + 1, 3))
+
+
+def _value_and_gradient(stack: np.ndarray, points) -> np.ndarray:
+    """[p, d/dx1 p, d/dx2 p] at points (..., 2) of the stacks (..., n+1, n+1, 3) of
+    _build_stack, leading axes broadcast, shape (..., 3): Horner in x1, then x2, as
+    polyval2d of the square and its two derivatives, bit for bit.  Every step is
+    elementwise, so a row of a batch of stacks gets the bits it gets alone."""
     pt = np.asarray(points, dtype=float)
     x1, x2 = pt[..., 0, None, None], pt[..., 1, None]
-    rows = p._stack
-    acc = rows[-1] + x1 * 0.0
-    for row in rows[-2::-1]:
-        acc = row + acc * x1
-    out = acc[..., -1, :] + x2 * 0.0
-    for j in range(p.degree - 1, -1, -1):
+    n = stack.shape[-3] - 1
+    acc = stack[..., n, :, :] + x1 * 0.0
+    for i in range(n - 1, -1, -1):
+        acc = stack[..., i, :, :] + acc * x1
+    out = acc[..., n, :] + x2 * 0.0
+    for j in range(n - 1, -1, -1):
         out = acc[..., j, :] + out * x2
     return out
 
 
 def evaluate(p: TotalDegreePolynomial, point):
     """Value of p at one point or an array of points with shape (..., 2)."""
-    out = _value_and_gradient(p, point)[..., 0]
+    out = _value_and_gradient(p._stack, point)[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
 def gradient(p: TotalDegreePolynomial, point):
     """Analytic gradient, same shape conventions as evaluate."""
-    return _value_and_gradient(p, point)[..., 1:]
+    return _value_and_gradient(p._stack, point)[..., 1:]
 
 
 def random_polynomial(degree: int, rng) -> TotalDegreePolynomial:
@@ -328,7 +353,8 @@ def _ridge_bound(p: TotalDegreePolynomial) -> float:
     grad p's ordinates, the direction along which a transplant's ridges run.  The SVD
     reads them scaled by a power of 2 into [1/2, 1), so delta scales with p exactly."""
     tri = _triangle(p.degree - 1)
-    ordinates = np.stack([p._dx[:, :-1][tri], p._dy[:-1][tri]]) @ _bernstein_map(p.degree - 1)
+    grad = p._stack[:-1, :-1]  # d/dx1 p and d/dx2 p in [..., 1] and [..., 2]
+    ordinates = np.stack([grad[..., 1][tri], grad[..., 2][tri]]) @ _bernstein_map(p.degree - 1)
     exponent = math.frexp(float(np.abs(ordinates).max()))[1]
     u = np.linalg.svd(np.ldexp(ordinates, -exponent), full_matrices=False)[0][:, -1]
     return float(np.abs(u @ ordinates).max())
@@ -359,7 +385,7 @@ def sup_norm_simplex(p: TotalDegreePolynomial) -> SupNormCertificate:
     hull = float(np.abs(p.coeffs @ _bezier_map(n)).max(initial=0.0))
     if not hull > vertex:
         return SupNormCertificate(value=vertex, grid_resolution=m, upper=vertex)
-    on_edges = np.abs(_value_and_gradient(p, _edge_candidates(p))[:, 0])
+    on_edges = np.abs(_value_and_gradient(p._stack, _edge_candidates(p))[:, 0])
     boundary = max(vertex, float(on_edges.max(initial=0.0)))
     ridge = boundary + _ridge_bound(p) * math.sqrt(0.5)
     if ridge <= boundary * (1.0 + _RIDGE_GAP):
@@ -375,7 +401,7 @@ def bernstein_ratio(p: TotalDegreePolynomial, x, y, norm: float) -> float:
         raise ValueError("ratio needs degree >= 1")
     x = check_interior(x)
     y = unit_direction(y)
-    vg = _value_and_gradient(p, x)
+    vg = _value_and_gradient(p._stack, x)
     px = float(vg[0])
     den2 = norm * norm - px * px
     if den2 <= 0.0:
@@ -422,23 +448,29 @@ def verify_upper_bound(degree: int, trials: int, seed: int) -> dict:
     boundary margin 1e-3, and a direction; violations beyond the slack 1e-3 are
     reported, not raised.  The certificate's gap bounds how far its value can
     sit below the norm, far inside the slack.
-    Per-trial seeds descend deterministically from (seed, trial index).
+    Per-trial seeds descend deterministically from (seed, trial index).  All
+    trials are drawn first, and p(x) and grad p(x) of all of them come from one
+    Horner pass; the sup norm and the bound D(x, y) are taken trial by trial.
     """
     if not 1 <= degree <= 8:
         raise ValueError("degree must be in [1, 8]")
     if trials < 1:
         raise ValueError("need at least one trial")
-    children = np.random.SeedSequence(seed).spawn(trials)
+    coeffs = np.empty((trials, n_coefficients(degree)))
+    points = np.empty((trials, 2))
+    phis = np.empty(trials)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        coeffs[i] = rng.uniform(-1.0, 1.0, size=coeffs.shape[1])  # as random_polynomial
+        points[i] = sample_interior(rng)
+        phis[i] = rng.uniform(0.0, math.pi)
+    stacks = _build_stack(degree, coeffs)
+    at_x = _value_and_gradient(stacks, points)
     quotients = np.empty(trials)
     violations = []
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        p = random_polynomial(degree, rng)
-        x = sample_interior(rng)
-        phi = rng.uniform(0.0, math.pi)
+    for i, (stack, x, phi, vg) in enumerate(zip(stacks, points, phis.tolist(), at_x)):
         y = np.array([math.cos(phi), math.sin(phi)])
-        cert = sup_norm_simplex(p)
-        vg = _value_and_gradient(p, x)
+        cert = sup_norm_simplex(TotalDegreePolynomial._of_stack(stack))
         px = float(vg[0])
         den2 = cert.value * cert.value - px * px
         if den2 <= 0.0:
@@ -466,7 +498,7 @@ class GradientSample:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=float)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("gradient sample must be finite")
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "vector", v)
@@ -474,22 +506,27 @@ class GradientSample:
 
 @lru_cache(maxsize=8)
 def _transplant_catalog(n: int):
-    """(T_n of l, ||T_n o l||) for the 60 nonconstant affine l with vertex values in
-    {-1, -1/3, 1/3, 1}: the norm is the max of |T_n| on [min, max] of those values,
-    1 if that holds a cos(k pi / n) (none is +-1/3, by Niven), else |T_n| at an end."""
+    """(stack, norms), read-only: the _build_stack rows (60, n+1, n+1, 3) of T_n o l
+    for the 60 nonconstant affine l with vertex values in {-1, -1/3, 1/3, 1}, and
+    ||T_n o l||, the max of |T_n| on [min, max] of those values: 1 if that holds a
+    cos(k pi / n) (none is +-1/3, by Niven), else |T_n| at an end."""
     extremes = np.cos(np.arange(n + 1) * math.pi / n)
-    out = []
+    coeffs, norms = [], []
     for v0, va, vb in itertools.product((-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0), repeat=3):
         if not va == v0 == vb:
-            p = chebyshev_transplant(n, v0, np.array([va - v0, vb - v0]))
+            coeffs.append(chebyshev_transplant(n, v0, np.array([va - v0, vb - v0])).coeffs)
             lo, hi = min(v0, va, vb), max(v0, va, vb)
             ends = np.abs(cheb.chebval([lo, hi], np.eye(n + 1)[n])).max()
-            out.append((p, 1.0 if np.any((lo <= extremes) & (extremes <= hi)) else float(ends)))
-    return tuple(out)
+            norms.append(1.0 if np.any((lo <= extremes) & (extremes <= hi)) else float(ends))
+    catalog = (_build_stack(n, np.array(coeffs)), np.array(norms))
+    for a in catalog:
+        a.setflags(write=False)
+    return catalog
 
 
-def _cloud_sample(p, x, n, norm):
-    vg = _value_and_gradient(p, x)
+def _cloud_sample(x, vg, n, norm):
+    """The sample of [p(x), grad p(x)] = vg, p of degree n and sup norm norm; None
+    where |p(x)| is within rounding of the norm."""
     px = float(vg[0])
     den2 = norm * norm - px * px
     if den2 <= 1e-15 * norm * norm:
@@ -498,7 +535,9 @@ def _cloud_sample(p, x, n, norm):
 
 
 def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):
-    """Gradient samples at x from random polynomials plus transplant catalog."""
+    """Gradient samples at x from random polynomials plus transplant catalog: each
+    degree's 60 transplants from one Horner pass at x, the samples in the order of
+    the catalog's entries, degrees 1..degree within each."""
     x = check_interior(np.asarray(x, dtype=float))
     if not 1 <= degree <= 8:
         raise ValueError("degree must be in [1, 8]")
@@ -510,11 +549,13 @@ def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):
         rng = np.random.default_rng(child)
         n = int(rng.integers(1, degree + 1))
         p = random_polynomial(n, rng)
-        samples.append(_cloud_sample(p, x, n, sup_norm_simplex(p).value))
+        vg = _value_and_gradient(p._stack, x)
+        samples.append(_cloud_sample(x, vg, n, sup_norm_simplex(p).value))
     catalogs = [_transplant_catalog(n) for n in range(1, degree + 1)]
-    for entries in zip(*catalogs):
-        for n, (p, norm) in enumerate(entries, start=1):
-            samples.append(_cloud_sample(p, x, n, norm))
+    at_x = [zip(_value_and_gradient(stack, x), norms.tolist()) for stack, norms in catalogs]
+    for entries in zip(*at_x):
+        for n, (vg, norm) in enumerate(entries, start=1):
+            samples.append(_cloud_sample(x, vg, n, norm))
     return [s for s in samples if s is not None]
 
 

@@ -5,13 +5,16 @@ already has, or one it does not need, the plain way, so that a test can pin
 the package's closed forms and dual readings by an independent computation.
 """
 
+import itertools
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from bernstein_bounds import ellipse as el
 from bernstein_bounds import geometry as geo
 from bernstein_bounds import kernels as kn
+from bernstein_bounds import polynomials as pl
 from bernstein_bounds import simplex as sx
 
 _BOUNDARY_TOL = 1e-12  # the origin's slack, in units of diam K, as in geo.require_interior
@@ -109,3 +112,66 @@ def equilibrium_density(x):
         raise ValueError("closed form is for the planar simplex")
     x1, x2 = x[..., 0], x[..., 1]
     return 2.0 * math.pi / np.sqrt(x1 * x2 * (1.0 - x1 - x2))
+
+
+def value_and_gradient(p: pl.TotalDegreePolynomial, x) -> np.ndarray:
+    """[p, d/dx1 p, d/dx2 p] at one point x, by polyval2d of the square and of polyder's
+    coefficients."""
+    return np.array([npp.polyval2d(x[0], x[1], c)
+                     for c in (p.square, npp.polyder(p.square, axis=0), npp.polyder(p.square, axis=1))])
+
+
+def verify_upper_bound(degree: int, trials: int, seed: int) -> dict:
+    """The randomized check one trial at a time: draw p, x and phi from the trial's
+    generator, certify the norm, and evaluate p and grad p at x alone."""
+    quotients = np.empty(trials)
+    violations = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        p = pl.random_polynomial(degree, rng)
+        x = pl.sample_interior(rng)
+        phi = rng.uniform(0.0, math.pi)
+        y = np.array([math.cos(phi), math.sin(phi)])
+        cert = pl.sup_norm_simplex(p)
+        vg = value_and_gradient(p, x)
+        px = float(vg[0])
+        den2 = cert.value * cert.value - px * px
+        if den2 <= 0.0:
+            quotients[i] = math.inf
+        else:
+            ratio = abs(float(vg[1:] @ y)) / (degree * math.sqrt(den2))
+            quotients[i] = ratio / float(sx.baran_derivative(x, y))
+        if quotients[i] > 1.0 + pl._SLACK:
+            violations.append({"trial": i, "x": x.tolist(), "phi": phi, "quotient": quotients[i]})
+    return {
+        "degree": degree, "trials": trials, "seed": seed, "slack": pl._SLACK, "margin": pl._MARGIN,
+        "max_quotient": float(np.max(quotients)), "argmax_trial": int(np.argmax(quotients)),
+        "violations": violations, "quotients": quotients.tolist(),
+    }
+
+
+def gradient_cloud(x, degree: int, trials: int, seed: int) -> np.ndarray:
+    """The cloud's vectors one sample at a time: each random polynomial, then, entry by
+    entry, the transplant T_n o l of every degree n, rebuilt by chebyshev_transplant
+    and taken with the catalog's norm."""
+    x = np.asarray(x, dtype=float)
+    polys = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        n = int(rng.integers(1, degree + 1))
+        p = pl.random_polynomial(n, rng)
+        polys.append((p, pl.sup_norm_simplex(p).value))
+    ends = (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
+    values = [v for v in itertools.product(ends, repeat=3) if not v[0] == v[1] == v[2]]
+    for k, (v0, va, vb) in enumerate(values):
+        for n in range(1, degree + 1):
+            p = pl.chebyshev_transplant(n, v0, np.array([va - v0, vb - v0]))
+            polys.append((p, float(pl._transplant_catalog(n)[1][k])))
+    vectors = []
+    for p, norm in polys:
+        vg = value_and_gradient(p, x)
+        px = float(vg[0])
+        den2 = norm * norm - px * px
+        if den2 > 1e-15 * norm * norm:
+            vectors.append(vg[1:] / (p.degree * math.sqrt(den2)))
+    return np.array(vectors)

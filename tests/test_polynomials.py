@@ -15,6 +15,8 @@ from scipy.spatial import ConvexHull
 from bernstein_bounds import polynomials as pl
 from bernstein_bounds import simplex as sx
 
+import routes
+
 M = np.array([1 / 3, 1 / 3])
 E1 = np.array([1.0, 0.0])
 
@@ -530,16 +532,31 @@ def test_value_and_gradient_is_polyval2d_bitwise(n, seed, lead, data):
     size = int(np.prod(lead, dtype=int)) * 2
     flat = data.draw(st.lists(_coordinates, min_size=size, max_size=size))
     pts = np.array(flat).reshape(*lead, 2)
-    got = pl._value_and_gradient(p, pts)
+    got = pl._value_and_gradient(p._stack, pts)
     assert got.shape == (*lead, 3)
-    for k, c in enumerate((p.square, p._dx, p._dy)):
+    for k, c in enumerate((p.square, npp.polyder(p.square, axis=0), npp.polyder(p.square, axis=1))):
         assert np.array_equal(got[..., k], npp.polyval2d(pts[..., 0], pts[..., 1], c))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_batched_value_and_gradient_is_polyval2d_row_by_row(n):
+    """A stack with a leading trial axis, each row at its own point, gives every row
+    the polyval2d bits of that row's polynomial alone."""
+    rng = np.random.default_rng(70 + n)
+    coeffs = rng.uniform(-1.0, 1.0, size=(24, pl.n_coefficients(n)))
+    pts = rng.uniform(-3.0, 3.0, size=(24, 2))
+    got = pl._value_and_gradient(pl._build_stack(n, coeffs), pts)
+    assert got.shape == (24, 3)
+    for row, x, vg in zip(coeffs, pts, got):
+        p = pl.TotalDegreePolynomial(n, row)
+        for k, c in enumerate((p.square, npp.polyder(p.square, axis=0), npp.polyder(p.square, axis=1))):
+            assert np.array_equal(vg[k], npp.polyval2d(x[0], x[1], c))
 
 
 def test_degree_zero_gradient_is_zero():
     p = pl.TotalDegreePolynomial(0, np.array([-2.5]))
     pts = np.random.default_rng(3).uniform(size=(4, 2))
-    assert np.array_equal(pl._value_and_gradient(p, pts), np.tile([-2.5, 0.0, 0.0], (4, 1)))
+    assert np.array_equal(pl._value_and_gradient(p._stack, pts), np.tile([-2.5, 0.0, 0.0], (4, 1)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -626,6 +643,32 @@ def test_verify_upper_bound_report_shape_and_determinism():
     assert 0 <= rep1["argmax_trial"] < 150
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_verify_upper_bound_matches_the_trial_by_trial_route(d):
+    """The batched draws and Horner pass give the report of one trial at a time, every
+    quotient bit for bit."""
+    for trials, seed in itertools.product((1, 7, 24), (0, 5, 900 + d)):
+        got = pl.verify_upper_bound(d, trials, seed)
+        want = routes.verify_upper_bound(d, trials, seed)
+        assert got == want
+        assert np.array(got["quotients"]).tobytes() == np.array(want["quotients"]).tobytes()
+
+
+def test_verify_upper_bound_takes_one_norm_and_one_bound_per_trial(monkeypatch):
+    calls = {"sup_norm_simplex": 0, "baran_derivative": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(pl, name, counted(name, getattr(pl, name)))
+    pl.verify_upper_bound(2, 3, 0)
+    assert calls == {"sup_norm_simplex": 3, "baran_derivative": 3}
+
+
 def test_verify_upper_bound_degree_guard():
     with pytest.raises(ValueError):
         pl.verify_upper_bound(0, 10, seed=1)
@@ -669,6 +712,13 @@ def test_gradient_cloud_reuses_the_transplant_catalog():
     assert np.allclose(v.sum(axis=0), want, rtol=0.0, atol=1e-12 * 385.85)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 4, 8])
+def test_gradient_cloud_matches_the_sample_by_sample_route(degree):
+    for x, trials, seed in [((0.3, 0.25), 20, 1), ((0.1, 0.7), 8, 44), (tuple(M), 0, 2)]:
+        got = np.array([s.vector for s in pl.empirical_gradient_cloud(np.array(x), degree, trials, seed)])
+        assert np.array_equal(got, routes.gradient_cloud(x, degree, trials, seed))
+
+
 def _chebyshev_at(n, t):
     """T_n(t) in exact rational arithmetic, by the three-term recurrence."""
     prev, cur = Fraction(1), t
@@ -689,9 +739,12 @@ def test_catalog_norms_are_the_exact_interval_maxima(n, search_rel):
     1e-15."""
     ends = (Fraction(-1), Fraction(-1, 3), Fraction(1, 3), Fraction(1))
     values = [v for v in itertools.product(ends, repeat=3) if not v[0] == v[1] == v[2]]
-    catalog = pl._transplant_catalog(n)
-    assert len(catalog) == len(values) == 60
-    for (p, norm), v in zip(catalog, values):
+    stack, norms = pl._transplant_catalog(n)
+    assert stack.shape == (60, n + 1, n + 1, 3) and len(norms) == len(values) == 60
+    for rows, norm, v in zip(stack, norms, values):
+        v0, va, vb = map(float, v)
+        p = pl.chebyshev_transplant(n, v0, [va - v0, vb - v0])
+        assert np.array_equal(rows, p._stack)
         lo, hi = min(v), max(v)
         if any(lo <= math.cos(k * math.pi / n) <= hi for k in range(n + 1)):
             exact = 1.0
@@ -710,7 +763,7 @@ def test_transplant_catalog_runs_no_sup_norm_search(monkeypatch):
     monkeypatch.setattr(pl, "sup_norm_simplex", refuse)
     pl._transplant_catalog.cache_clear()
     try:
-        assert [len(pl._transplant_catalog(n)) for n in range(1, 9)] == [60] * 8
+        assert [tuple(map(len, pl._transplant_catalog(n))) for n in range(1, 9)] == [(60, 60)] * 8
     finally:
         pl._transplant_catalog.cache_clear()
 
