@@ -214,6 +214,8 @@ def kernel_ellipse_closed_form(x) -> KernelEllipse:
 def kernel_area_closed(x):
     """pi / sqrt(x1 x2 x3), the exact area of the closed-form kernel ellipse."""
     x = check_interior(x)
+    if x.shape[-1] != 2:
+        raise ValueError("closed form is for the planar simplex")
     x1, x2 = x[..., 0], x[..., 1]
     return math.pi / np.sqrt(x1 * x2 * (1.0 - x1 - x2))
 

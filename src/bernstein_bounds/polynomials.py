@@ -3,11 +3,13 @@
 Random bivariate polynomials and transplanted Chebyshev families are pushed
 through the Bernstein ratio |<grad p, y>| / (n sqrt(||p||^2 - p^2)) and
 compared against the pluripotential bound.  A polynomial is held as the stack
-of p, d/dx1 p and d/dx2 p (its square is the first layer), and p and its
-gradient come from one Horner pass over it.  A stack with a leading axis takes
+of p, d/dx1 p and d/dx2 p: its square is the first layer, and the derivatives
+are the square shifted by a row or a column and scaled.  p and its gradient
+come from one Horner pass over the stack.  A stack with a leading axis takes
 many polynomials through the same pass, each row getting the bits it gets
 alone: verify_upper_bound draws all its trials first and then evaluates them in
-one pass per call, the gradient cloud each degree's 60 transplants.  The sup
+one pass per call, the gradient cloud each degree's 60 transplants, and the
+cloud then normalizes all its samples in one array step.  The sup
 norm and the bound D(x, y) stay one call per trial, as the benchmark's tracer
 (perfbench/) counts one of each per trial until ROADMAP item 1 replaces it.
 
@@ -96,32 +98,17 @@ def _triangle(n: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=32)
-def _stack_map(n: int):
-    """(pos, src, scale), read-only: a stack of _build_stack, flattened, holds
-    coeffs[..., src] * scale at pos.  Coefficient (i, j) sits in the square at (i, j),
-    times i in d/dx1 p at (i-1, j) and times j in d/dx2 p at (i, j-1)."""
-    n1 = n + 1
-    i, j = np.argwhere(_triangle(n)).T
-    k = np.arange(len(i))
-    di, dj = i > 0, j > 0
-    maps = (np.concatenate([(i * n1 + j) * 3, ((i[di] - 1) * n1 + j[di]) * 3 + 1,
-                            (i[dj] * n1 + j[dj] - 1) * 3 + 2]),
-            np.concatenate([k, k[di], k[dj]]),
-            np.concatenate([np.ones(len(k)), i[di], j[dj]]).astype(float))
-    for a in maps:
-        a.setflags(write=False)
-    return maps
-
-
 def _build_stack(degree: int, coeffs: np.ndarray) -> np.ndarray:
     """p, d/dx1 p and d/dx2 p side by side, shape (..., n+1, n+1, 3), zero padded, for
-    coefficient rows (..., K) in the flat order; [..., 0] is the square."""
-    pos, src, scale = _stack_map(degree)
-    lead = coeffs.shape[:-1]
-    flat = np.zeros(lead + (3 * (degree + 1) ** 2,))
-    flat[..., pos] = coeffs[..., src] * scale
-    return flat.reshape(lead + (degree + 1, degree + 1, 3))
+    coefficient rows (..., K) in the flat order; [..., 0] is the square, and the
+    derivatives are it shifted up a row times i and left a column times j."""
+    stack = np.zeros(coeffs.shape[:-1] + (degree + 1, degree + 1, 3))
+    square = stack[..., 0]
+    square[..., _triangle(degree)] = coeffs
+    k = np.arange(1, degree + 1)
+    stack[..., :-1, :, 1] = square[..., 1:, :] * k[:, None]
+    stack[..., :-1, 2] = square[..., 1:] * k
+    return stack
 
 
 def _value_and_gradient(stack: np.ndarray, points) -> np.ndarray:
@@ -399,6 +386,8 @@ def bernstein_ratio(p: TotalDegreePolynomial, x, y, norm: float) -> float:
     simplex, such as sup_norm_simplex(p).value."""
     if p.degree < 1:
         raise ValueError("ratio needs degree >= 1")
+    if not 0.0 < norm < math.inf:
+        raise ValueError("norm must be finite and positive")
     x = check_interior(x)
     y = unit_direction(y)
     vg = _value_and_gradient(p._stack, x)
@@ -417,6 +406,8 @@ def chebyshev_transplant(n: int, c0: float, c) -> TotalDegreePolynomial:
     if n < 1:
         raise ValueError("transplant degree must be >= 1")
     c = np.asarray(c, dtype=float)
+    if c.shape != (2,):
+        raise ValueError("c must have shape (2,)")
     verts = np.array([c0, c0 + c[0], c0 + c[1]])
     if np.any(np.abs(verts) > 1.0 + 1e-12):
         raise ValueError("affine functional exceeds 1 in modulus at a vertex")
@@ -524,39 +515,32 @@ def _transplant_catalog(n: int):
     return catalog
 
 
-def _cloud_sample(x, vg, n, norm):
-    """The sample of [p(x), grad p(x)] = vg, p of degree n and sup norm norm; None
-    where |p(x)| is within rounding of the norm."""
-    px = float(vg[0])
-    den2 = norm * norm - px * px
-    if den2 <= 1e-15 * norm * norm:
-        return None
-    return GradientSample(x=x, vector=vg[1:] / (n * math.sqrt(den2)))
-
-
 def empirical_gradient_cloud(x, degree: int, trials: int, seed: int):
     """Gradient samples at x from random polynomials plus transplant catalog: each
     degree's 60 transplants from one Horner pass at x, the samples in the order of
-    the catalog's entries, degrees 1..degree within each."""
+    the catalog's entries, degrees 1..degree within each.  All samples are then
+    normalized in one step, dropping those where |p(x)| is within rounding of the norm."""
     x = check_interior(np.asarray(x, dtype=float))
     if not 1 <= degree <= 8:
         raise ValueError("degree must be in [1, 8]")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    samples = []
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for child in children:
+    vg, n, norm = [], [], []
+    for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        n = int(rng.integers(1, degree + 1))
-        p = random_polynomial(n, rng)
-        vg = _value_and_gradient(p._stack, x)
-        samples.append(_cloud_sample(x, vg, n, sup_norm_simplex(p).value))
-    catalogs = [_transplant_catalog(n) for n in range(1, degree + 1)]
-    at_x = [zip(_value_and_gradient(stack, x), norms.tolist()) for stack, norms in catalogs]
-    for entries in zip(*at_x):
-        for n, (vg, norm) in enumerate(entries, start=1):
-            samples.append(_cloud_sample(x, vg, n, norm))
-    return [s for s in samples if s is not None]
+        n.append(int(rng.integers(1, degree + 1)))
+        p = random_polynomial(n[-1], rng)
+        vg.append(_value_and_gradient(p._stack, x))
+        norm.append(sup_norm_simplex(p).value)
+    stacks, norms = zip(*(_transplant_catalog(k) for k in range(1, degree + 1)))
+    vg.extend(np.stack([_value_and_gradient(s, x) for s in stacks], axis=1).reshape(-1, 3))
+    n.extend(list(range(1, degree + 1)) * 60)
+    norm.extend(np.stack(norms, axis=1).ravel())
+    vg, n, norm = np.array(vg), np.array(n), np.array(norm)
+    den2 = norm * norm - vg[:, 0] * vg[:, 0]
+    keep = den2 > 1e-15 * norm * norm
+    vectors = vg[keep, 1:] / (n[keep] * np.sqrt(den2[keep]))[:, None]
+    return [GradientSample(x=x, vector=v) for v in vectors]
 
 
 def bernstein_szego_1d(n: int, x: float, a: float, b: float):

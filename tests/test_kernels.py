@@ -400,6 +400,14 @@ def test_closed_area_identities():
         assert closed == pytest.approx(0.5 * float(routes.equilibrium_density(x)), rel=1e-15)
 
 
+@pytest.mark.parametrize("x", [(0.2, 0.2, 0.2), [[0.2, 0.2, 0.2]], (0.1, 0.1, 0.1, 0.1)])
+def test_closed_area_refuses_points_off_the_plane(x):
+    """pi / sqrt(x1 x2 x3) is the planar simplex's area; a point of a higher
+    simplex is refused, not sent through the planar formula."""
+    with pytest.raises(ValueError, match="planar simplex"):
+        kn.kernel_area_closed(x)
+
+
 def test_max_norm_is_reciprocal_of_ellipse_constant():
     for x in (M, np.array([0.12, 0.41]), np.array([0.3, 0.35])):
         prod = routes.kernel_max_norm(x) * float(sx.ellipse_constant(x))

@@ -553,6 +553,28 @@ def test_batched_value_and_gradient_is_polyval2d_row_by_row(n):
             assert np.array_equal(vg[k], npp.polyval2d(x[0], x[1], c))
 
 
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("n", range(0, 9))
+def test_build_stack_is_the_square_and_its_polyder_padded(n, lead):
+    """Each layer of the stack is, bit for bit and sign of zero included, the square
+    or its polyder padded with zeros to (n+1, n+1)."""
+    rng = np.random.default_rng(90 + n)
+    coeffs = rng.uniform(-1.0, 1.0, size=(*lead, pl.n_coefficients(n)))
+    coeffs[rng.uniform(size=coeffs.shape) < 0.25] = -0.0
+    stack = pl._build_stack(n, coeffs)
+    assert stack.shape == (*lead, n + 1, n + 1, 3)
+    for index in np.ndindex(*lead):
+        square = np.zeros((n + 1, n + 1))
+        square[pl._triangle(n)] = coeffs[index]
+        want = np.zeros((n + 1, n + 1, 3))
+        want[..., 0] = square
+        if n:
+            want[:n, :, 1] = npp.polyder(square, axis=0)
+            want[:, :n, 2] = npp.polyder(square, axis=1)
+        assert np.array_equal(stack[index], want)
+        assert np.array_equal(np.signbit(stack[index]), np.signbit(want))
+
+
 def test_degree_zero_gradient_is_zero():
     p = pl.TotalDegreePolynomial(0, np.array([-2.5]))
     pts = np.random.default_rng(3).uniform(size=(4, 2))
@@ -596,6 +618,12 @@ def test_bernstein_ratio_guards():
         pl.bernstein_ratio(LIN, np.array([0.9, 0.05]), E1, 0.5)
 
 
+@pytest.mark.parametrize("norm", [math.nan, math.inf, -2.0])
+def test_bernstein_ratio_refuses_a_norm_that_is_not_finite_and_positive(norm):
+    with pytest.raises(ValueError, match="norm must be finite and positive"):
+        pl.bernstein_ratio(LIN, M, E1, norm)
+
+
 def test_transplant_quadratic_expansion():
     t2 = pl.chebyshev_transplant(2, -1.0, [2.0, 0.0])
     # T2(2 x1 - 1) = 8 x1^2 - 8 x1 + 1
@@ -614,6 +642,12 @@ def test_transplant_validates_functional_and_degree():
         pl.chebyshev_transplant(2, 0.5, [1.0, 0.0])  # reaches 1.5 at a vertex
     with pytest.raises(ValueError):
         pl.chebyshev_transplant(0, 0.0, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("c", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], 0.5])
+def test_transplant_requires_a_planar_gradient(c):
+    with pytest.raises(ValueError, match="shape"):
+        pl.chebyshev_transplant(2, 0.0, c)
 
 
 def test_transplants_have_unit_norm():
